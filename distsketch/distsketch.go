@@ -13,8 +13,11 @@
 //	    distsketch.WithSeed(1),
 //	)
 //
-// Protocol values are plain structs; the same value also drives the two
-// real-TCP roles (see TCPCoordinator/TCPServer and cmd/distsketch).
+// Protocol values are plain structs and the only way to name a protocol:
+// Run (in-memory partitions) and RunWorkload (any per-server Input — file
+// sources, product pairs) drive them in-process, and the same value drives
+// the two real-TCP roles through its Server and Coordinator methods (see
+// TCPCoordinator/TCPServer and cmd/distsketch), with its Env set by hand.
 package distsketch
 
 import (
@@ -30,8 +33,7 @@ import (
 // SetParallelism sets the width of the process-wide compute worker pool
 // shared by every kernel (FD shrinks, SVDs, matrix products); n <= 0 resets
 // to GOMAXPROCS. Parallelism only affects local compute speed — metered
-// communication word counts are identical at every width. Per-run callers
-// can use WithParallelism instead.
+// communication word counts are identical at every width.
 func SetParallelism(n int) { parallel.SetWorkers(n) }
 
 // Parallelism returns the current compute worker pool width.
@@ -96,8 +98,10 @@ type Env = distributed.Env
 // Result is the coordinator's output plus the run's communication totals.
 type Result = distributed.Result
 
-// Config is the cross-cutting per-run configuration shared by every
-// protocol (seed, quantization, straggler policy).
+// Config is the cross-cutting configuration shared by every protocol (seed,
+// quantization, wire precision, straggler policy, shrink strategy,
+// observer). In-process runs build it from RunOptions; TCP callers set it
+// as Env.Config.
 type Config = distributed.Config
 
 // Estimand is what a protocol estimates — AᵀA of one matrix
@@ -120,6 +124,7 @@ type Input = distributed.Input
 
 var (
 	CovarianceInput    = distributed.CovarianceInput
+	CovarianceInputs   = distributed.CovarianceInputs
 	ProductInput       = distributed.ProductInput
 	ProductShards      = distributed.ProductShards
 	ProductShardsDense = distributed.ProductShardsDense
@@ -250,22 +255,18 @@ var ParseSamplingFn = distributed.ParseSamplingFn
 // fault plans, straggler policies, quantization, and seeding.
 var Run = distributed.Run
 
-// RunSources is Run over RowSources instead of in-memory partitions: server
-// i streams sources[i], so handing it file-backed sources (OpenSource plus
-// NewSectionSource per shard) runs the whole protocol out of core.
-var RunSources = distributed.RunSources
-
-// RunWorkload is the estimand-general driver beneath Run and RunSources:
-// server i consumes inputs[i], which may be a covariance shard or an
-// aligned (A, B) product pair. Use it (with ProductShards /
-// ProductShardsDense) to run product protocols such as CoordinatedProduct.
+// RunWorkload is the driver beneath Run: server i consumes inputs[i], which
+// may be a covariance shard or an aligned (A, B) product pair. Wrap
+// RowSources with CovarianceInputs — file-backed ones (OpenSource plus
+// NewSectionSource per shard) run the whole protocol out of core — or build
+// product pairs with ProductShards / ProductShardsDense to run product
+// protocols such as CoordinatedProduct.
 var RunWorkload = distributed.RunWorkload
 
 // RunOption configures a Run invocation.
 type RunOption = distributed.RunOption
 
 var (
-	WithConfig          = distributed.WithConfig
 	WithDeadline        = distributed.WithDeadline
 	WithSeed            = distributed.WithSeed
 	WithQuantization    = distributed.WithQuantization
@@ -276,27 +277,6 @@ var (
 	WithFaults          = distributed.WithFaults
 	WithMailboxCapacity = distributed.WithMailboxCapacity
 	WithMeter           = distributed.WithMeter
-	WithParallelism     = distributed.WithParallelism
-)
-
-// Named single-protocol wrappers, for callers that prefer a function per
-// protocol over constructing the struct.
-var (
-	RunFDMerge              = distributed.RunFDMerge
-	RunSVS                  = distributed.RunSVS
-	RunSVSStreaming         = distributed.RunSVSStreaming
-	RunRowSampling          = distributed.RunRowSampling
-	RunAdaptive             = distributed.RunAdaptive
-	RunLowRankExact         = distributed.RunLowRankExact
-	RunFullTransfer         = distributed.RunFullTransfer
-	RunPCASketchSolve       = distributed.RunPCASketchSolve
-	RunBWZ                  = distributed.RunBWZ
-	RunBWZArbitrary         = distributed.RunBWZArbitrary
-	RunPCACombined          = distributed.RunPCACombined
-	RunPCAFDMerge           = distributed.RunPCAFDMerge
-	RunPCAPowerIteration    = distributed.RunPCAPowerIteration
-	RunPCACombinedPowerIter = distributed.RunPCACombinedPowerIter
-	RunCoordinatedProduct   = distributed.RunCoordinatedProduct
 )
 
 // Quality metrics: IsEpsKSketch checks the Definition 3 guarantee, CovErr

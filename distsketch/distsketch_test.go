@@ -56,8 +56,8 @@ func TestFacadeRunCoversProtocolFamilies(t *testing.T) {
 	}
 }
 
-// TestFacadeNamedWrappers checks a named wrapper and the typed sampling
-// enum through the public surface.
+// TestFacadeNamedWrappers checks a protocol configured from a parsed flag
+// name — the typed sampling enum — through the public surface.
 func TestFacadeNamedWrappers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := distsketch.PowerLawSpectrum(rng, 300, 12, 0.9, 10)
@@ -70,7 +70,7 @@ func TestFacadeNamedWrappers(t *testing.T) {
 	if fn != distsketch.SampleLinear {
 		t.Fatalf("ParseSamplingFn: %v", fn)
 	}
-	res, err := distsketch.RunSVS(context.Background(), parts, 0.3, 0.1, fn, distsketch.Config{Seed: 2})
+	res, err := distsketch.Run(context.Background(), distsketch.SVS{Alpha: 0.3, Delta: 0.1, Sampling: fn}, parts, distsketch.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

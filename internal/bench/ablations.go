@@ -89,9 +89,8 @@ func FinalCompressAblation(cfg Config) ([]Row, error) {
 	a, parts := makeLowRank(cfg)
 	var rows []Row
 	for _, compress := range []bool{false, true} {
-		res, err := distributed.RunAdaptive(context.Background(), parts, distributed.AdaptiveParams{
-			Eps: cfg.Eps, K: cfg.K, FinalCompress: compress,
-		}, distributed.Config{Seed: cfg.Seed})
+		proto := distributed.Adaptive{AdaptiveParams: distributed.AdaptiveParams{Eps: cfg.Eps, K: cfg.K, FinalCompress: compress}}
+		res, err := distributed.Run(context.Background(), proto, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -227,16 +226,15 @@ func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 		rows = append(rows, r)
 	}
 	// The same regime through the distributed protocol: each server streams
-	// its contiguous sparse shard via a SparseSource, so ServerFDMerge takes
-	// the nnz-proportional fd.UpdateSparse hot path end-to-end.
+	// its contiguous sparse shard via a SparseSource, so every FD-merge server
+	// takes the nnz-proportional fd.UpdateSparse hot path end-to-end.
 	spParts := workload.SplitSparseContiguous(sp, cfg.S)
 	sources := make([]workload.RowSource, len(spParts))
 	for i, p := range spParts {
 		sources[i] = workload.NewSparseSource(p)
 	}
 	start := time.Now()
-	res, err := distributed.RunSources(context.Background(),
-		distributed.FDMerge{Eps: cfg.Eps}, sources, distributed.WithSeed(cfg.Seed))
+	res, err := distributed.RunWorkload(context.Background(), distributed.FDMerge{Eps: cfg.Eps}, distributed.CovarianceInputs(sources), distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

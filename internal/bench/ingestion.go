@@ -25,8 +25,7 @@ func IngestionThroughput(cfg Config) ([]Row, error) {
 	a, parts := makeLowRank(cfg)
 	run := func(sources []workload.RowSource) (*distributed.Result, time.Duration, error) {
 		start := time.Now()
-		res, err := distributed.RunSources(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, sources,
-			distributed.WithSeed(cfg.Seed))
+		res, err := distributed.RunWorkload(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, distributed.CovarianceInputs(sources), distributed.WithSeed(cfg.Seed))
 		return res, time.Since(start), err
 	}
 	row := func(algo string, res *distributed.Result, elapsed time.Duration, n int, same bool) (Row, error) {

@@ -2,8 +2,10 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -414,5 +416,53 @@ func TestQuantizedWireSizeMatchesAccounting(t *testing.T) {
 	}
 	if !out.Quantized.Dequantize().EqualApprox(m, 1e-12) {
 		t.Fatal("packed round trip lost data")
+	}
+}
+
+// A length prefix is a claim, not a budget: a peer that announces a
+// maximal frame and then hangs up must cost the decoder about what it sent,
+// not the gigabyte it claimed.
+func TestDecodeAllocationBoundedByBytesReceived(t *testing.T) {
+	var prefix [4]byte
+	binary.LittleEndian.PutUint32(prefix[:], maxFrameBytes)
+	for _, sent := range []int{0, 100 << 10} {
+		wire := append(prefix[:], make([]byte, sent)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(wire))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("sent %d of %d claimed bytes: truncated frame decoded", sent, maxFrameBytes)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("sent %d of %d claimed bytes: decode allocated %d bytes", sent, maxFrameBytes, grew)
+		}
+	}
+}
+
+// Frame buffers above maxPooledFrame serve one message and are dropped, on
+// both sides of the codec, so one large frame cannot pin its memory in the
+// pool.
+func TestOversizedFrameBuffersAreNotPooled(t *testing.T) {
+	big := &Message{Kind: "big", Matrix: matrix.New(maxPooledFrame/8/64+1, 64)}
+	var buf bytes.Buffer
+	if err := big.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() <= maxPooledFrame {
+		t.Fatalf("test frame of %d bytes is not oversized", buf.Len())
+	}
+	out, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, c := out.Matrix.Dims(); r != big.Matrix.Rows() || c != 64 {
+		t.Fatalf("decoded %d×%d", r, c)
+	}
+	out.Release()
+	for i := 0; i < 16; i++ {
+		if fp := frameBufs.Get().(*[]byte); cap(*fp) > maxPooledFrame {
+			t.Fatalf("pool holds a %d-byte frame buffer", cap(*fp))
+		}
 	}
 }

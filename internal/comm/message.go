@@ -172,6 +172,25 @@ const (
 // maxFrameBytes bounds a single message frame (1 GiB).
 const maxFrameBytes = 1 << 30
 
+// maxPooledFrame caps the frame buffers kept in frameBufs: a larger buffer
+// serves its one message and is left to the GC, so a single big (or
+// hostile) frame cannot pin its memory in the pool.
+const maxPooledFrame = 4 << 20
+
+// frameChunk is the first growth step of a frame buffer in Decode, which
+// grows the buffer as bytes arrive instead of trusting the peer's length
+// prefix: a peer that claims a large frame and then stops costs at most
+// about twice what it actually sent, plus one chunk.
+const frameChunk = 64 << 10
+
+// putFrameBuf returns a frame buffer to the pool unless it outgrew
+// maxPooledFrame.
+func putFrameBuf(fp *[]byte) {
+	if cap(*fp) <= maxPooledFrame {
+		frameBufs.Put(fp)
+	}
+}
+
 // frameSize returns the encoded frame length in bytes (excluding the
 // 4-byte length prefix), with the quantized payload's packed length given
 // by packedLen.
@@ -220,7 +239,7 @@ func (m *Message) Encode(w io.Writer) error {
 		return fmt.Errorf("comm: frame of %d bytes exceeds limit", size)
 	}
 	fp := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(fp)
+	defer putFrameBuf(fp)
 	if cap(*fp) < 4+size {
 		*fp = make([]byte, 4+size)
 	}
@@ -454,7 +473,7 @@ func getI32(slot **[]int32, n int) []int32 {
 // never releases are simply collected by the GC.
 func Decode(r io.Reader) (*Message, error) {
 	fp := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(fp)
+	defer putFrameBuf(fp)
 	if cap(*fp) < 4 {
 		*fp = make([]byte, 64)
 	}
@@ -468,11 +487,9 @@ func Decode(r io.Reader) (*Message, error) {
 	if frameLen > maxFrameBytes {
 		return nil, fmt.Errorf("comm: frame of %d bytes exceeds limit", frameLen)
 	}
-	if cap(*fp) < int(frameLen) {
-		*fp = make([]byte, frameLen)
-	}
-	frame := (*fp)[:frameLen]
-	if _, err := io.ReadFull(r, frame); err != nil {
+	frame, err := readFrame(r, (*fp)[:0], int(frameLen))
+	*fp = frame[:0] // keep any growth for the pool
+	if err != nil {
 		return nil, fmt.Errorf("comm: read frame: %w", err)
 	}
 	m, err := decodeFrame(frame)
@@ -481,6 +498,27 @@ func Decode(r io.Reader) (*Message, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// readFrame reads an n-byte frame from r into buf, growing buf only as
+// bytes arrive: the capacity at most doubles per read, starting from
+// frameChunk, so the allocation is bounded by the bytes received rather
+// than by n. A buffer that already holds n bytes is used as is.
+func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grow := max(cap(buf), frameChunk)
+			nb := make([]byte, len(buf), min(n, cap(buf)+grow))
+			copy(nb, buf)
+			buf = nb
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 func decodeFrame(frame []byte) (*Message, error) {

@@ -90,9 +90,8 @@ func (in Input) Product(proto string) (a, b RowSource, offset int, err error) {
 	return in.A, in.B, in.Offset, nil
 }
 
-// CovarianceInputs wraps each source in a covariance Input — the adapter
-// RunSources uses so every existing single-matrix entry point flows through
-// the workload seam unchanged.
+// CovarianceInputs wraps each source in a covariance Input, so single-matrix
+// sources (file-backed ones included) run through RunWorkload.
 func CovarianceInputs(sources []RowSource) []Input {
 	inputs := make([]Input, len(sources))
 	for i, src := range sources {
@@ -128,8 +127,8 @@ func ProductShards(n int, aSrcs, bSrcs []RowSource) ([]Input, error) {
 }
 
 // ProductShardsDense splits row-aligned dense matrices a (n×d_A) and b
-// (n×d_B) into s contiguous shard pairs — the in-memory convenience behind
-// RunCoordinatedProduct examples and tests.
+// (n×d_B) into s contiguous shard pairs — the in-memory convenience for
+// running product protocols through RunWorkload.
 func ProductShardsDense(a, b *matrix.Dense, s int) ([]Input, error) {
 	na, _ := a.Dims()
 	nb, _ := b.Dims()

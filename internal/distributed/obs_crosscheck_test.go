@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/matrix"
 	"repro/internal/obs"
 )
 
@@ -17,21 +16,13 @@ import (
 // exactly. Any drift means a send path escaped instrumentation.
 func TestObserverMatchesMeter(t *testing.T) {
 	runners := []struct {
-		name string
-		run  func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error)
+		name  string
+		proto Protocol
 	}{
-		{"fd-merge", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunFDMerge(ctx, parts, 0.25, 3, cfg)
-		}},
-		{"svs", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunSVS(ctx, parts, 0.2, 0.1, SampleQuadratic, cfg)
-		}},
-		{"row-sampling", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunRowSampling(ctx, parts, 0.3, cfg)
-		}},
-		{"adaptive", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunAdaptive(ctx, parts, AdaptiveParams{Eps: 0.25, K: 3}, cfg)
-		}},
+		{"fd-merge", FDMerge{Eps: 0.25, K: 3}},
+		{"svs", SVS{Alpha: 0.2, Delta: 0.1, Sampling: SampleQuadratic}},
+		{"row-sampling", RowSampling{Eps: 0.3}},
+		{"adaptive", Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 3}}},
 	}
 	for _, tc := range runners {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,7 +32,7 @@ func TestObserverMatchesMeter(t *testing.T) {
 			tr := obs.NewTracer(&buf)
 			ob := obs.NewObserver(reg, tr)
 
-			res, err := tc.run(context.Background(), parts, Config{Seed: 7, Obs: ob})
+			res, err := Run(context.Background(), tc.proto, parts, WithSeed(7), WithObserver(ob))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,12 +101,11 @@ func TestObserverMatchesMeter(t *testing.T) {
 // communication.
 func TestObserverDoesNotChangeCost(t *testing.T) {
 	_, parts := split(t, 22, 200, 12, 4)
-	plain, err := RunSVS(context.Background(), parts, 0.2, 0.1, SampleQuadratic, Config{Seed: 3})
+	plain, err := Run(context.Background(), SVS{Alpha: 0.2, Delta: 0.1, Sampling: SampleQuadratic}, parts, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := RunSVS(context.Background(), parts, 0.2, 0.1, SampleQuadratic,
-		Config{Seed: 3, Obs: obs.NewObserver(obs.NewRegistry(), nil)})
+	observed, err := Run(context.Background(), SVS{Alpha: 0.2, Delta: 0.1, Sampling: SampleQuadratic}, parts, WithSeed(3), WithObserver(obs.NewObserver(obs.NewRegistry(), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +114,8 @@ func TestObserverDoesNotChangeCost(t *testing.T) {
 	}
 }
 
-// TestWithObserverOption exercises the RunOption route (rather than
-// Config.Obs) and the default-observer fallback.
+// TestWithObserverOption exercises the WithObserver option and the
+// default-observer fallback.
 func TestWithObserverOption(t *testing.T) {
 	_, parts := split(t, 23, 120, 10, 3)
 	reg := obs.NewRegistry()

@@ -15,30 +15,23 @@ func TestParallelismDoesNotChangeWords(t *testing.T) {
 	_, parts := split(t, 3, 512, 24, 4)
 	ctx := context.Background()
 
-	type runner struct {
-		name string
-		fn   func(cfg Config) (*Result, error)
-	}
-	runners := []runner{
-		{"fd-merge", func(cfg Config) (*Result, error) {
-			return RunFDMerge(ctx, parts, 0.2, 2, cfg)
-		}},
-		{"svs", func(cfg Config) (*Result, error) {
-			return RunSVS(ctx, parts, 0.2, 0.1, SampleQuadratic, cfg)
-		}},
-		{"row-sampling", func(cfg Config) (*Result, error) {
-			return RunRowSampling(ctx, parts, 0.2, cfg)
-		}},
-		{"adaptive", func(cfg Config) (*Result, error) {
-			return RunAdaptive(ctx, parts, AdaptiveParams{Eps: 0.2, K: 2}, cfg)
-		}},
+	runners := []struct {
+		name  string
+		proto Protocol
+	}{
+		{"fd-merge", FDMerge{Eps: 0.2, K: 2}},
+		{"svs", SVS{Alpha: 0.2, Delta: 0.1, Sampling: SampleQuadratic}},
+		{"row-sampling", RowSampling{Eps: 0.2}},
+		{"adaptive", Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 2}}},
 	}
 	for _, r := range runners {
-		serial, err := r.fn(Config{Seed: 7, Parallelism: 1})
+		parallel.SetWorkers(1)
+		serial, err := Run(ctx, r.proto, parts, WithSeed(7))
 		if err != nil {
 			t.Fatalf("%s at width 1: %v", r.name, err)
 		}
-		wide, err := r.fn(Config{Seed: 7, Parallelism: 4})
+		parallel.SetWorkers(4)
+		wide, err := Run(ctx, r.proto, parts, WithSeed(7))
 		if err != nil {
 			t.Fatalf("%s at width 4: %v", r.name, err)
 		}
@@ -51,19 +44,5 @@ func TestParallelismDoesNotChangeWords(t *testing.T) {
 				t.Errorf("%s: sketch shape moved with pool width", r.name)
 			}
 		}
-	}
-}
-
-// WithParallelism must install the requested pool width for the run.
-func TestWithParallelismSetsPool(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	_, parts := split(t, 5, 256, 16, 2)
-	parallel.SetWorkers(1)
-	if _, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 0}, parts,
-		WithSeed(1), WithParallelism(3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := parallel.Workers(); got != 3 {
-		t.Fatalf("pool width after WithParallelism(3) run = %d", got)
 	}
 }

@@ -86,9 +86,10 @@ func (p PCASketchSolve) rounds() int { return 2 }
 
 func (p PCASketchSolve) validate() { p.PCAParams.withDefaults() }
 
-func (p PCASketchSolve) adaptive() AdaptiveParams {
+// sketch is the Theorem 7 protocol both roles run first.
+func (p PCASketchSolve) sketch() Adaptive {
 	pp := p.PCAParams.withDefaults()
-	return AdaptiveParams{Eps: pp.Eps / 2, K: pp.K, Delta: pp.Delta}
+	return Adaptive{AdaptiveParams: AdaptiveParams{Eps: pp.Eps / 2, K: pp.K, Delta: pp.Delta}, Env: p.Env}
 }
 
 // Estimand implements Protocol.
@@ -96,11 +97,10 @@ func (p PCASketchSolve) Estimand() Estimand { return EstimandCovariance }
 
 // Server implements Protocol.
 func (p PCASketchSolve) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
+	if _, err := in.Covariance(p.Name()); err != nil {
 		return err
 	}
-	if err := ServerAdaptive(ctx, node, local, p.Env.Servers, p.adaptive(), p.Env.Config); err != nil {
+	if err := p.sketch().Server(ctx, node, in); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, p.PCAParams.withDefaults())
@@ -109,32 +109,27 @@ func (p PCASketchSolve) Server(ctx context.Context, node Node, in Input) error {
 // Coordinator implements Protocol.
 func (p PCASketchSolve) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
-	q, err := CoordAdaptive(ctx, node, p.Env.Servers, p.adaptive(), p.Env.Config)
+	res, err := p.sketch().Coordinator(ctx, node)
 	if err != nil {
 		return nil, err
 	}
-	v, err := pca.SketchPCs(q, pp.K)
+	v, err := pca.SketchPCs(res.Sketch, pp.K)
 	if err != nil {
 		return nil, err
 	}
 	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
 		return nil, err
 	}
-	return &Result{Sketch: q, PCs: v}, nil
-}
-
-// RunPCASketchSolve runs the direct form of Theorem 9 in-process.
-func RunPCASketchSolve(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCASketchSolve{PCAParams: p}, parts, WithConfig(cfg))
+	return &Result{Sketch: res.Sketch, PCs: v}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Batch solve baseline (stand-in for Boutsidis–Woodruff–Zhong [5]).
 // ---------------------------------------------------------------------------
 
-// ServerBWZSolve is the server side of the subspace-embedding batch PCA
-// solve, run against an arbitrary local matrix (raw rows for the baseline,
-// the local sketch Q_i for the Theorem 9 combined algorithm):
+// serverBWZ is the server side of the subspace-embedding batch PCA solve,
+// run against an arbitrary local matrix (raw rows for the baseline, the
+// local sketch Q_i for the Theorem 9 combined algorithm):
 //
 //	Round 1: send the local row count; receive the global row offset.
 //	Round 2: send Y_i = S·A_i restricted to this server's rows — directly
@@ -147,8 +142,7 @@ func RunPCASketchSolve(ctx context.Context, parts []*matrix.Dense, p PCAParams, 
 // n_i·(d+1) words instead of m·d. This is Theorem 8's min{n, sk/ε²} factor,
 // and it is exactly what makes the Theorem 9 combined algorithm cheap: its
 // local inputs are sketches with O(k/ε)·√s-ish rows, far below m = Θ(k/ε²).
-func ServerBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAParams, cfg Config) error {
-	p = p.withDefaults()
+func serverBWZ(ctx context.Context, node Node, local *matrix.Dense, p PCAParams, cfg Config) error {
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "nrows", Ints: []int64{int64(local.Rows())}}); err != nil {
 		return err
 	}
@@ -159,15 +153,10 @@ func ServerBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAPa
 	return serverBWZBody(ctx, node, local, int(off.Ints[0]), p, cfg)
 }
 
-// ServerBWZArbitrary is the server side of the batch solve in the ARBITRARY
-// partition model (the open question in the paper's conclusion): each
-// server holds a full-shape summand A_i ∈ R^{n×d} with A = Σ_i A_i. Because
-// the shared CountSketch is linear, S·A = Σ_i S·A_i, so the same solve runs
-// with every server using row offset 0 and no offset round at all.
-func ServerBWZArbitrary(ctx context.Context, node Node, local *matrix.Dense, p PCAParams, cfg Config) error {
-	return serverBWZBody(ctx, node, local, 0, p.withDefaults(), cfg)
-}
-
+// serverBWZBody runs the embedding rounds at a known global row offset. The
+// arbitrary-partition model calls it with offset 0 and no offset round:
+// every server holds a full-shape summand A_i, and because the shared
+// CountSketch is linear, S·A = Σ_i S·A_i.
 func serverBWZBody(ctx context.Context, node Node, local *matrix.Dense, offset int, p PCAParams, cfg Config) error {
 	d := local.Cols()
 	m := p.EmbeddingRows
@@ -239,10 +228,9 @@ func scatterSparse(frame *matrix.Dense, buckets []int64, rows *matrix.Dense) err
 	return nil
 }
 
-// CoordBWZSolve is the coordinator side of the batch solve; d is the column
+// coordBWZ is the coordinator side of the batch solve; d is the column
 // dimension of the inputs. Returns the d×k approximate PCs.
-func CoordBWZSolve(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
-	p = p.withDefaults()
+func coordBWZ(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
 	counts, err := gatherAll(ctx, node, s, "nrows", cfg)
 	if err != nil {
 		return nil, err
@@ -257,12 +245,7 @@ func CoordBWZSolve(ctx context.Context, node Node, s, d int, p PCAParams, cfg Co
 	return coordBWZBody(ctx, node, s, d, p, cfg)
 }
 
-// CoordBWZArbitrary is the coordinator side for the arbitrary-partition
-// model: no offset round.
-func CoordBWZArbitrary(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
-	return coordBWZBody(ctx, node, s, d, p.withDefaults(), cfg)
-}
-
+// coordBWZBody is the coordinator's half of serverBWZBody.
 func coordBWZBody(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
 	m := p.EmbeddingRows
 	if d <= m {
@@ -366,7 +349,7 @@ func (p BWZ) Server(ctx context.Context, node Node, in Input) error {
 	}
 	p.Env.Config.observer().RowsIngested(int64(local.Rows()), false)
 	pp := p.PCAParams.withDefaults()
-	if err := ServerBWZSolve(ctx, node, local, pp, p.Env.Config); err != nil {
+	if err := serverBWZ(ctx, node, local, pp, p.Env.Config); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, pp)
@@ -375,7 +358,7 @@ func (p BWZ) Server(ctx context.Context, node Node, in Input) error {
 // Coordinator implements Protocol.
 func (p BWZ) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
-	v, err := CoordBWZSolve(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
+	v, err := coordBWZ(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +402,7 @@ func (p BWZArbitrary) Server(ctx context.Context, node Node, in Input) error {
 	}
 	p.Env.Config.observer().RowsIngested(int64(local.Rows()), false)
 	pp := p.PCAParams.withDefaults()
-	if err := ServerBWZArbitrary(ctx, node, local, pp, p.Env.Config); err != nil {
+	if err := serverBWZBody(ctx, node, local, 0, pp, p.Env.Config); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, pp)
@@ -428,7 +411,7 @@ func (p BWZArbitrary) Server(ctx context.Context, node Node, in Input) error {
 // Coordinator implements Protocol.
 func (p BWZArbitrary) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
-	v, err := CoordBWZArbitrary(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
+	v, err := coordBWZBody(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -436,16 +419,6 @@ func (p BWZArbitrary) Coordinator(ctx context.Context, node Node) (*Result, erro
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
-}
-
-// RunBWZArbitrary runs the batch PCA solve in the arbitrary-partition model.
-func RunBWZArbitrary(ctx context.Context, summands []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, BWZArbitrary{PCAParams: p}, summands, WithConfig(cfg))
-}
-
-// RunBWZ runs the batch baseline on the raw partitioned input.
-func RunBWZ(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, BWZ{PCAParams: p}, parts, WithConfig(cfg))
 }
 
 // ---------------------------------------------------------------------------
@@ -472,11 +445,6 @@ func (p PCACombined) rounds() int { return 4 }
 
 func (p PCACombined) validate() { p.PCAParams.withDefaults() }
 
-func (p PCACombined) adaptive() AdaptiveParams {
-	pp := p.PCAParams.withDefaults()
-	return AdaptiveParams{Eps: pp.Eps / 2, K: pp.K, Delta: pp.Delta}
-}
-
 // Estimand implements Protocol.
 func (p PCACombined) Estimand() Estimand { return EstimandCovariance }
 
@@ -487,11 +455,12 @@ func (p PCACombined) Server(ctx context.Context, node Node, in Input) error {
 		return err
 	}
 	pp := p.PCAParams.withDefaults()
-	q, err := ServerAdaptiveLocal(ctx, node, local, p.Env.Servers, p.adaptive(), p.Env.Config)
+	ap := AdaptiveParams{Eps: pp.Eps / 2, K: pp.K, Delta: pp.Delta}
+	q, err := serverAdaptiveLocal(ctx, node, local, p.Env.Servers, ap, p.Env.Config)
 	if err != nil {
 		return err
 	}
-	if err := ServerBWZSolve(ctx, node, q, pp, p.Env.Config); err != nil {
+	if err := serverBWZ(ctx, node, q, pp, p.Env.Config); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, pp)
@@ -500,10 +469,10 @@ func (p PCACombined) Server(ctx context.Context, node Node, in Input) error {
 // Coordinator implements Protocol.
 func (p PCACombined) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
-	if _, err := CoordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
+	if err := coordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
 		return nil, err
 	}
-	v, err := CoordBWZSolve(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
+	v, err := coordBWZ(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -511,11 +480,6 @@ func (p PCACombined) Coordinator(ctx context.Context, node Node) (*Result, error
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
-}
-
-// RunPCACombined runs the full Theorem 9 pipeline in-process.
-func RunPCACombined(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCACombined{PCAParams: p}, parts, WithConfig(cfg))
 }
 
 // PCAFDMerge is the pre-[5] baseline: FD-merge an (ε/2,k)-sketch at the
@@ -535,20 +499,24 @@ func (p PCAFDMerge) rounds() int { return 1 }
 
 func (p PCAFDMerge) validate() { p.PCAParams.withDefaults() }
 
+// sketch is the Theorem 2 protocol both roles run first.
+func (p PCAFDMerge) sketch() FDMerge {
+	pp := p.PCAParams.withDefaults()
+	return FDMerge{Eps: pp.Eps / 2, K: pp.K, Env: p.Env}
+}
+
 // Estimand implements Protocol.
 func (p PCAFDMerge) Estimand() Estimand { return EstimandCovariance }
 
 // Server implements Protocol.
 func (p PCAFDMerge) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
+	if _, err := in.Covariance(p.Name()); err != nil {
 		return err
 	}
-	pp := p.PCAParams.withDefaults()
-	if err := ServerFDMerge(ctx, node, local, pp.Eps/2, pp.K, p.Env.Config); err != nil {
+	if err := p.sketch().Server(ctx, node, in); err != nil {
 		return err
 	}
-	return serverMaybeRecvPCs(ctx, node, pp)
+	return serverMaybeRecvPCs(ctx, node, p.PCAParams.withDefaults())
 }
 
 // Coordinator implements Protocol.
@@ -559,21 +527,16 @@ func (p PCAFDMerge) Coordinator(ctx context.Context, node Node) (*Result, error)
 	if err := rejectQuorum(p.Env.Config, "pca-fd-merge"); err != nil {
 		return nil, err
 	}
-	sk, _, err := CoordFDMerge(ctx, node, p.Env.Servers, p.Env.Dim, pp.Eps/2, pp.K, p.Env.Config)
+	res, err := p.sketch().Coordinator(ctx, node)
 	if err != nil {
 		return nil, err
 	}
-	v, err := pca.SketchPCs(sk, pp.K)
+	v, err := pca.SketchPCs(res.Sketch, pp.K)
 	if err != nil {
 		return nil, err
 	}
 	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
 		return nil, err
 	}
-	return &Result{Sketch: sk, PCs: v}, nil
-}
-
-// RunPCAFDMerge runs the FD-merge PCA baseline in-process.
-func RunPCAFDMerge(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCAFDMerge{PCAParams: p}, parts, WithConfig(cfg))
+	return &Result{Sketch: res.Sketch, PCs: v}, nil
 }

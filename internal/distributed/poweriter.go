@@ -40,9 +40,9 @@ func (p PowerIterParams) withDefaults() PowerIterParams {
 	return p
 }
 
-// ServerPowerIter is the server side: for each round, receive V, respond
+// serverPowerIter is the server side: for each round, receive V, respond
 // with A_iᵀ(A_i·V). A "done" broadcast ends the loop.
-func ServerPowerIter(ctx context.Context, node Node, local *matrix.Dense) error {
+func serverPowerIter(ctx context.Context, node Node, local *matrix.Dense) error {
 	for {
 		msg, err := node.Recv(ctx)
 		if err != nil {
@@ -66,9 +66,9 @@ func ServerPowerIter(ctx context.Context, node Node, local *matrix.Dense) error 
 	}
 }
 
-// CoordPowerIter drives the iteration and returns the d×k orthonormal
+// coordPowerIter drives the iteration and returns the d×k orthonormal
 // iterate after the configured rounds.
-func CoordPowerIter(ctx context.Context, node Node, s, d int, p PowerIterParams, cfg Config) (*matrix.Dense, error) {
+func coordPowerIter(ctx context.Context, node Node, s, d int, p PowerIterParams, cfg Config) (*matrix.Dense, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed + 0x90a3))
 	v := matrix.New(d, p.K)
@@ -152,21 +152,16 @@ func (p PowerIteration) Server(ctx context.Context, node Node, in Input) error {
 		return err
 	}
 	p.Env.Config.observer().RowsIngested(int64(local.Rows()), false)
-	return ServerPowerIter(ctx, node, local)
+	return serverPowerIter(ctx, node, local)
 }
 
 // Coordinator implements Protocol.
 func (p PowerIteration) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	v, err := CoordPowerIter(ctx, node, p.Env.Servers, p.Env.Dim, p.PowerIterParams, p.Env.Config)
+	v, err := coordPowerIter(ctx, node, p.Env.Servers, p.Env.Dim, p.PowerIterParams, p.Env.Config)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
-}
-
-// RunPCAPowerIteration runs the iterative solver on the raw partition.
-func RunPCAPowerIteration(ctx context.Context, parts []*matrix.Dense, p PowerIterParams, cfg Config) (*Result, error) {
-	return Run(ctx, PowerIteration{PowerIterParams: p}, parts, WithConfig(cfg))
 }
 
 // PCACombinedPowerIter is Theorem 9 with the iterative solver: servers
@@ -188,7 +183,7 @@ func (p PCACombinedPowerIter) Name() string { return "pca-combined-power-iterati
 func (p PCACombinedPowerIter) withEnv(e Env) Protocol { p.Env = e; return p }
 
 // rounds preserves the historical accounting of this pipeline, which lets
-// CoordPowerIter/CoordTailRelay own no round increments of their own: the
+// coordPowerIter/coordTailRelay own no round increments of their own: the
 // raw-data variant's count comes from PowerIteration.rounds, and this
 // combined variant has always reported 0 extra rounds beyond the meter's
 // defaults.
@@ -206,37 +201,37 @@ func (p PCACombinedPowerIter) Server(ctx context.Context, node Node, in Input) e
 		return err
 	}
 	ap := AdaptiveParams{Eps: p.Eps / 2, K: p.PowerIterParams.withDefaults().K}
-	q, err := ServerAdaptiveLocal(ctx, node, local, p.Env.Servers, ap, p.Env.Config)
+	q, err := serverAdaptiveLocal(ctx, node, local, p.Env.Servers, ap, p.Env.Config)
 	if err != nil {
 		return err
 	}
-	return ServerPowerIter(ctx, node, q)
+	return serverPowerIter(ctx, node, q)
 }
 
 // Coordinator implements Protocol.
 func (p PCACombinedPowerIter) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	if _, err := CoordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
+	if err := coordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
 		return nil, err
 	}
-	v, err := CoordPowerIter(ctx, node, p.Env.Servers, p.Env.Dim, p.PowerIterParams, p.Env.Config)
+	v, err := coordPowerIter(ctx, node, p.Env.Servers, p.Env.Dim, p.PowerIterParams, p.Env.Config)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
 }
 
-// RunPCACombinedPowerIter runs Theorem 9 with the iterative solver.
-func RunPCACombinedPowerIter(ctx context.Context, parts []*matrix.Dense, eps float64, p PowerIterParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCACombinedPowerIter{Eps: eps, PowerIterParams: p}, parts, WithConfig(cfg))
-}
-
 // QualityAfterRounds sweeps the rounds knob and returns the measured PCA
-// ratio per round count — the convergence curve the benchmarks plot.
-func QualityAfterRounds(ctx context.Context, parts []*matrix.Dense, a *matrix.Dense, k int, rounds []int, cfg Config) ([]float64, []float64, error) {
+// ratio per round count — the convergence curve the benchmarks plot. The
+// run's seed (WithSeed) also seeds the coordinator's random start.
+func QualityAfterRounds(ctx context.Context, parts []*matrix.Dense, a *matrix.Dense, k int, rounds []int, opts ...RunOption) ([]float64, []float64, error) {
+	var o runOpts
+	for _, opt := range opts {
+		opt(&o)
+	}
 	ratios := make([]float64, 0, len(rounds))
 	words := make([]float64, 0, len(rounds))
 	for _, r := range rounds {
-		res, err := RunPCAPowerIteration(ctx, parts, PowerIterParams{K: k, Rounds: r, Seed: cfg.Seed}, cfg)
+		res, err := Run(ctx, PowerIteration{PowerIterParams: PowerIterParams{K: k, Rounds: r, Seed: o.cfg.Seed}}, parts, opts...)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -21,11 +20,11 @@ import (
 func TestFloat32WireHalvesWords(t *testing.T) {
 	a, parts := split(t, 21, 200, 12, 4)
 	ctx := context.Background()
-	res64, err := RunFDMerge(ctx, parts, 0.25, 3, Config{Seed: 7})
+	res64, err := Run(ctx, FDMerge{Eps: 0.25, K: 3}, parts, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res32, err := RunFDMerge(ctx, parts, 0.25, 3, Config{Seed: 7, WirePrecision: comm.Float32})
+	res32, err := Run(ctx, FDMerge{Eps: 0.25, K: 3}, parts, WithSeed(7), WithWirePrecision(comm.Float32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +63,7 @@ func TestObserverMatchesMeterFloat32(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	ob := obs.NewObserver(reg, obs.NewTracer(&buf))
-	res, err := RunFDMerge(context.Background(), parts, 0.25, 3,
-		Config{Seed: 7, Obs: ob, WirePrecision: comm.Float32})
+	res, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 3}, parts, WithSeed(7), WithWirePrecision(comm.Float32), WithObserver(ob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +81,7 @@ func TestObserverMatchesMeterFloat32(t *testing.T) {
 func TestQuantizeFloat32MutuallyExclusive(t *testing.T) {
 	_, parts := split(t, 23, 80, 8, 2)
 	_, err := Run(context.Background(), FDMerge{Eps: 0.3, K: 2}, parts,
-		WithConfig(Config{Seed: 1, Quantize: true, QuantStep: 1e-6, WirePrecision: comm.Float32}))
+		WithSeed(1), WithQuantization(1e-6), WithWirePrecision(comm.Float32))
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("expected mutual-exclusion error, got %v", err)
 	}
@@ -93,67 +91,22 @@ func TestQuantizeFloat32MutuallyExclusive(t *testing.T) {
 // in-memory run — the senders pre-round, so the narrow wire encoding is
 // lossless — and the socket meters must agree with the in-memory meters.
 func TestTCPFloat32MatchesMem(t *testing.T) {
-	ctx := context.Background()
 	_, parts := split(t, 24, 200, 12, 4)
-	eps, k := 0.25, 3
-	cfg := Config{Seed: 7, WirePrecision: comm.Float32}
-
-	mem, err := RunFDMerge(ctx, parts, eps, k, cfg)
+	proto := FDMerge{Eps: 0.25, K: 3}
+	mem, err := Run(context.Background(), proto, parts, WithSeed(7), WithWirePrecision(comm.Float32))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	s := len(parts)
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
-	if err != nil {
-		t.Fatal(err)
+	res, meter := tcpRun(t, proto, CovarianceInputs(workload.DenseSources(parts)),
+		Env{Servers: len(parts), Dim: 12, Config: Config{Seed: 7, WirePrecision: comm.Float32}})
+	if len(res.Missing) != 0 {
+		t.Fatalf("unexpected stragglers: %v", res.Missing)
 	}
-	defer coord.Close()
-	var wg sync.WaitGroup
-	serverErrs := make(chan error, s)
-	words := make(chan float64, s)
-	for i := 0; i < s; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
-			if err != nil {
-				serverErrs <- err
-				return
-			}
-			defer srv.Close()
-			if err := ServerFDMerge(ctx, srv.Node(), workload.NewDenseSource(parts[id]), eps, k, cfg); err != nil {
-				serverErrs <- err
-				return
-			}
-			words <- srv.Meter().Words()
-		}(i)
-	}
-	if err := coord.Accept(ctx); err != nil {
-		t.Fatal(err)
-	}
-	sketch, missing, err := CoordFDMerge(ctx, coord.Node(), s, 12, eps, k, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(serverErrs)
-	for err := range serverErrs {
-		t.Fatal(err)
-	}
-	close(words)
-	total := 0.0
-	for w := range words {
-		total += w
-	}
-	if len(missing) != 0 {
-		t.Fatalf("unexpected stragglers: %v", missing)
-	}
-	if !sketch.Equal(mem.Sketch) {
+	if !res.Sketch.Equal(mem.Sketch) {
 		t.Fatal("TCP float32 sketch differs from the in-memory run")
 	}
-	if total != mem.Words {
-		t.Fatalf("TCP metered %v words, in-memory run %v", total, mem.Words)
+	if meter.Words() != mem.Words {
+		t.Fatalf("TCP metered %v words, in-memory run %v", meter.Words(), mem.Words)
 	}
 }
 
@@ -161,49 +114,15 @@ func TestTCPFloat32MatchesMem(t *testing.T) {
 // refactored codec and release plumbing must leave the default-path run
 // bit-identical and word-identical to itself across transports.
 func TestTCPFloat64StillMatchesMem(t *testing.T) {
-	ctx := context.Background()
 	_, parts := split(t, 25, 160, 10, 2)
-	eps, k := 0.3, 2
-	mem, err := RunFDMerge(ctx, parts, eps, k, Config{Seed: 3})
+	proto := FDMerge{Eps: 0.3, K: 2}
+	mem, err := Run(context.Background(), proto, parts, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := len(parts)
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	var wg sync.WaitGroup
-	serverErrs := make(chan error, s)
-	for i := 0; i < s; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
-			if err != nil {
-				serverErrs <- err
-				return
-			}
-			defer srv.Close()
-			if err := ServerFDMerge(ctx, srv.Node(), workload.NewDenseSource(parts[id]), eps, k, Config{Seed: 3}); err != nil {
-				serverErrs <- err
-			}
-		}(i)
-	}
-	if err := coord.Accept(ctx); err != nil {
-		t.Fatal(err)
-	}
-	sketch, _, err := CoordFDMerge(ctx, coord.Node(), s, 10, eps, k, Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(serverErrs)
-	for err := range serverErrs {
-		t.Fatal(err)
-	}
-	if !sketch.Equal(mem.Sketch) {
+	res, _ := tcpRun(t, proto, CovarianceInputs(workload.DenseSources(parts)),
+		Env{Servers: len(parts), Dim: 10, Config: Config{Seed: 3}})
+	if !res.Sketch.Equal(mem.Sketch) {
 		t.Fatal("TCP float64 sketch differs from the in-memory run")
 	}
 }

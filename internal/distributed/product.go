@@ -56,7 +56,7 @@ func (p CoordinatedProduct) validate() {
 // rounding would silently change the estimand's value (the estimate is built
 // from exact row values) rather than trade precision for words.
 func rejectSketchOptions(cfg Config) error {
-	if cfg.Quantize {
+	if cfg.QuantStep != 0 {
 		return fmt.Errorf("distributed: coord-product ships sample rows, not matrix sketches: quantization is not supported (drop WithQuantization)")
 	}
 	if cfg.WirePrecision == comm.Float32 {
@@ -278,12 +278,4 @@ func (p CoordinatedProduct) Coordinator(ctx context.Context, node Node) (*Result
 		Product:     est,
 		Certificate: core.ProductCertificate(p.SampleSize, math.Sqrt(frobA2), math.Sqrt(frobB2)),
 	}, nil
-}
-
-// RunCoordinatedProduct executes coordinated-sampling AᵀB estimation
-// in-process over the given aligned shard pairs (build them with
-// ProductShards or ProductShardsDense) and returns the estimate, its
-// certificate, and exact communication accounting.
-func RunCoordinatedProduct(ctx context.Context, inputs []Input, sampleSize int, opts ...RunOption) (*Result, error) {
-	return RunWorkload(ctx, CoordinatedProduct{SampleSize: sampleSize}, inputs, opts...)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,7 +43,7 @@ func productFixture(t *testing.T, n, dA, dB, s int, density float64, seed int64)
 func TestCoordinatedProductWithinCertificate(t *testing.T) {
 	const n, dA, dB, s, sample = 1200, 24, 18, 4, 150
 	inputs, a, b := productFixture(t, n, dA, dB, s, 0.1, 17)
-	res, err := RunCoordinatedProduct(context.Background(), inputs, sample, WithSeed(5))
+	res, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestCoordinatedProductWithinCertificate(t *testing.T) {
 func TestCoordinatedProductWordsExact(t *testing.T) {
 	const n, dA, dB, s, sample, seed = 900, 30, 22, 3, 80, 9
 	inputs, a, b := productFixture(t, n, dA, dB, s, 0.05, 23)
-	res, err := RunCoordinatedProduct(context.Background(), inputs, sample, WithSeed(seed))
+	res, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestCoordinatedProductShardCountInvariant(t *testing.T) {
 	const n, dA, dB, sample = 700, 16, 16, 90
 	run := func(s int) *Result {
 		inputs, _, _ := productFixture(t, n, dA, dB, s, 0.15, 31)
-		res, err := RunCoordinatedProduct(context.Background(), inputs, sample, WithSeed(3))
+		res, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,58 +149,15 @@ func TestCoordinatedProductTCPMatchesMem(t *testing.T) {
 	defer cancel()
 
 	inputs, _, _ := productFixture(t, n, dA, dB, s, 0.08, 41)
-	memRes, err := RunCoordinatedProduct(ctx, inputs, sample, WithSeed(seed))
+	memRes, err := RunWorkload(ctx, CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Fresh sources for the TCP pass (the mem run consumed the streams).
 	inputs, _, _ = productFixture(t, n, dA, dB, s, 0.08, 41)
-	proto := CoordinatedProduct{
-		SampleSize: sample,
-		Env:        Env{Servers: s, Dim: dA, DimB: dB, Config: Config{Seed: seed}},
-	}
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	var wg sync.WaitGroup
-	serverErrs := make(chan error, s)
-	var mu sync.Mutex
-	var uplinkBits int64
-	for i := 0; i < s; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			srv, err := DialTCPServerContext(ctx, coord.Addr(), id, nil, TCPOptions{})
-			if err != nil {
-				serverErrs <- err
-				return
-			}
-			defer srv.Close()
-			if err := proto.Server(ctx, srv.Node(), inputs[id]); err != nil {
-				serverErrs <- err
-				return
-			}
-			mu.Lock()
-			uplinkBits += srv.Meter().Bits()
-			mu.Unlock()
-		}(i)
-	}
-	if err := coord.Accept(ctx); err != nil {
-		t.Fatal(err)
-	}
-	tcpRes, err := proto.Coordinator(ctx, coord.Node())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(serverErrs)
-	for err := range serverErrs {
-		t.Fatal(err)
-	}
+	tcpRes, meter := tcpRun(t, CoordinatedProduct{SampleSize: sample}, inputs,
+		Env{Servers: s, Dim: dA, DimB: dB, Config: Config{Seed: seed}})
 
 	md, td := memRes.Product.Data(), tcpRes.Product.Data()
 	for i := range md {
@@ -212,8 +168,9 @@ func TestCoordinatedProductTCPMatchesMem(t *testing.T) {
 	if memRes.Certificate != tcpRes.Certificate {
 		t.Fatalf("certificates differ: mem %v, TCP %v", memRes.Certificate, tcpRes.Certificate)
 	}
-	if uplinkBits != memRes.Bits {
-		t.Fatalf("TCP uplink %d bits, mem run %d", uplinkBits, memRes.Bits)
+	// The coordinator sends nothing, so the shared meter is the uplink.
+	if meter.Bits() != memRes.Bits {
+		t.Fatalf("TCP uplink %d bits, mem run %d", meter.Bits(), memRes.Bits)
 	}
 }
 
@@ -243,11 +200,10 @@ func TestRunRejectsMixedWorkloads(t *testing.T) {
 		!strings.Contains(err.Error(), "estimates a matrix product") {
 		t.Fatalf("coord-product over covariance inputs: %v", err)
 	}
-	// RunSources (the single-matrix entry point) with a product protocol.
-	if _, err := RunSources(ctx, CoordinatedProduct{SampleSize: 10},
-		workload.DenseSources(workload.Split(a, 2, workload.Contiguous, nil))); err == nil ||
+	// The dense single-matrix entry point with a product protocol.
+	if _, err := Run(ctx, CoordinatedProduct{SampleSize: 10}, workload.Split(a, 2, workload.Contiguous, nil)); err == nil ||
 		!strings.Contains(err.Error(), "estimates a matrix product") {
-		t.Fatalf("RunSources with coord-product: %v", err)
+		t.Fatalf("Run with coord-product: %v", err)
 	}
 }
 
@@ -305,7 +261,7 @@ func TestCoordinatedProductRejectsTreeTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunCoordinatedProduct(context.Background(), inputs, 10, WithTopology(Tree(2)))
+	_, err = RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs, WithTopology(Tree(2)))
 	if err == nil || !strings.Contains(err.Error(), "does not support tree aggregation") {
 		t.Fatalf("tree run: %v", err)
 	}
@@ -331,7 +287,7 @@ func TestCoordinatedProductRejectsSketchWireOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoordinatedProduct(context.Background(), inputs, 10, WithQuantization(0.01)); err == nil ||
+	if _, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs, WithQuantization(0.01)); err == nil ||
 		!strings.Contains(err.Error(), "quantization is not supported") {
 		t.Fatalf("quantized run: %v", err)
 	}
@@ -339,7 +295,7 @@ func TestCoordinatedProductRejectsSketchWireOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoordinatedProduct(context.Background(), inputs, 10, WithWirePrecision(comm.Float32)); err == nil ||
+	if _, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs, WithWirePrecision(comm.Float32)); err == nil ||
 		!strings.Contains(err.Error(), "float32 wire precision is not supported") {
 		t.Fatalf("float32 run: %v", err)
 	}
@@ -347,8 +303,7 @@ func TestCoordinatedProductRejectsSketchWireOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoordinatedProduct(context.Background(), inputs, 10,
-		WithStragglers(StragglerPolicy{Timeout: time.Second, Quorum: 1})); err == nil ||
+	if _, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs, WithStragglers(StragglerPolicy{Timeout: time.Second, Quorum: 1})); err == nil ||
 		!strings.Contains(err.Error(), "Quorum") {
 		t.Fatalf("quorum run: %v", err)
 	}

@@ -3,11 +3,14 @@ package distributed
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fd"
-	"repro/internal/rowsample"
+	"repro/internal/matrix"
+	"repro/internal/obs"
 )
 
 // CoordinatorID is the conventional endpoint ID of the coordinator
@@ -38,8 +41,7 @@ type Protocol interface {
 	// adaptive, low-rank exact, full transfer, coordinated product) read
 	// their sources in one or two bounded-memory passes; batch protocols
 	// materialize them (documented O(n_i·d) memory). Wrap an in-memory
-	// partition with workload.NewDenseSource — or use the []*matrix.Dense
-	// Run entry points, which do it for you.
+	// partition with workload.NewDenseSource — Run does it for you.
 	Server(ctx context.Context, node Node, in Input) error
 	// Coordinator runs the coordinator role over node and returns the
 	// protocol's output; communication totals are filled in by the driver.
@@ -122,232 +124,129 @@ const (
 // ParseSamplingFn converts a flag string to a SamplingFn.
 func ParseSamplingFn(s string) (SamplingFn, error) { return core.ParseSamplingFn(s) }
 
-// ---------------------------------------------------------------------------
-// Covariance-sketch protocols.
-// ---------------------------------------------------------------------------
-
-// FDMerge is the deterministic Theorem 2 protocol: each server streams its
-// rows through FD and the aggregation plan's interior merges the sketches
-// with the canonical FD reduction. It is the one protocol whose gathers
-// honour a straggler quorum: FD sketches merge associatively, so any node
-// can proceed with a subset of its subtree, sketching the responsive
-// servers' rows and reporting the absentees in Result.Missing. For the same
-// reason it is the one built-in protocol that runs under a tree Topology.
-type FDMerge struct {
-	Eps float64
-	K   int
-	Env Env
+// Config holds the cross-cutting options every protocol shares. The Run
+// driver assembles it from RunOptions; direct TCP callers set it as
+// Env.Config.
+type Config struct {
+	// QuantStep turns on §3.3 quantization when positive: every sketch
+	// matrix is rounded to this additive precision before sending, so costs
+	// are counted at O(log(nd/ε)) bits per entry instead of full 64-bit
+	// words (use comm.StepFor). Zero sends full-precision payloads; a
+	// negative, NaN or infinite step is rejected.
+	QuantStep float64
+	// WirePrecision selects the wire width of matrix payloads
+	// (comm.Float64 by default). comm.Float32 halves every sketch's word
+	// count: senders round entries to float32-representable values before
+	// transmission, so in-memory and socket transports carry identical
+	// payloads and meter identically, at an additive error bounded by
+	// comm.Float32RoundTripError (charge it against the certificate like a
+	// quantized leg's step). Mutually exclusive with quantization, whose
+	// step accounting already covers the payload.
+	WirePrecision comm.Precision
+	// Seed seeds each server's private randomness (server i uses Seed+i).
+	Seed int64
+	// Stragglers bounds how long the coordinator waits for each server and
+	// whether quorum-tolerant protocols may proceed without stragglers.
+	Stragglers StragglerPolicy
+	// Shrink selects the FD shrink strategy for the fd-merge protocol: the
+	// rule every leaf's streaming sketch and every merge node applies (nil
+	// = fd.FastFD; see fd.ShrinkStrategy). Only mergeable strategies are
+	// legal here — fd.Vanilla, fd.FastFD, fd.AlphaFD(α) — and a variant
+	// without a mergeability proof (fd.ISVD, fd.Compensative) fails the
+	// run loudly at the first merge path rather than silently degrading
+	// the certificate. Protocols that use FD internally as a fixed
+	// analysis step (adaptive, streaming SVS) deliberately ignore this
+	// knob: their guarantees are proven against the default FD rule.
+	// Strategy choice never changes metered communication — every summary
+	// is still at most ℓ rows.
+	Shrink fd.ShrinkStrategy
+	// Obs is the observability sink for this run's protocol events (nil
+	// falls back to the process-wide obs.Default(), which is itself nil —
+	// the no-op observer — unless installed). Observation never changes
+	// metered communication: word counts and transcripts are identical
+	// with and without it.
+	Obs *obs.Observer
 }
 
-// Name implements Protocol.
-func (p FDMerge) Name() string { return "fd-merge" }
+// observer resolves the config's observability sink: the explicit Obs, or
+// the process-wide default. The result may be nil — every Observer method
+// is a no-op on a nil receiver.
+func (c Config) observer() *obs.Observer {
+	if c.Obs != nil {
+		return c.Obs
+	}
+	return obs.Default()
+}
 
-// Estimand implements Protocol.
-func (p FDMerge) Estimand() Estimand { return EstimandCovariance }
+// checkWire rejects a wire policy no sender can apply: a quantization step
+// that is negative, NaN or infinite, or quantization combined with float32
+// payloads.
+func (c Config) checkWire() error {
+	if c.QuantStep < 0 || math.IsNaN(c.QuantStep) || math.IsInf(c.QuantStep, 0) {
+		return fmt.Errorf("distributed: invalid quantization step %v (want a positive finite step, or 0 for none)", c.QuantStep)
+	}
+	if c.QuantStep > 0 && c.WirePrecision == comm.Float32 {
+		return fmt.Errorf("distributed: quantization and float32 wire precision are mutually exclusive (the quantizer's step accounting already covers the payload)")
+	}
+	return nil
+}
 
-func (p FDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p FDMerge) rounds() int { return 1 }
-
-// Server implements Protocol. Under a tree plan the leaf's summary goes to
-// its aggregator rather than the coordinator.
-func (p FDMerge) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
+// putMatrix attaches m to msg under the config's wire policy — the one
+// place the plain / float32 / quantized decision is made: quantized when
+// QuantStep > 0, rounded to float32 under comm.Float32, as is otherwise.
+func (c Config) putMatrix(msg *comm.Message, m *matrix.Dense) error {
+	if err := c.checkWire(); err != nil {
 		return err
 	}
-	return serverFDMergeTo(ctx, node, p.Env.parent(node.ID()), local, p.Eps, p.K, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p FDMerge) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, missing, err := coordFDGather(ctx, node, p.Env.plan(), p.Env.Dim, fd.SketchSize(p.Eps, p.K), p.Env.Config)
-	if err != nil {
-		return nil, err
+	switch {
+	case c.QuantStep > 0:
+		q, err := comm.NewQuantizer(c.QuantStep).Quantize(m)
+		if err != nil {
+			return fmt.Errorf("distributed: quantize %s: %w", msg.Kind, err)
+		}
+		msg.Quantized = q
+	case c.WirePrecision == comm.Float32:
+		// Round before handing the payload to the transport: the in-memory
+		// network shares the message by pointer without encoding, so
+		// rounding here keeps it value- and word-identical with the socket
+		// wire format.
+		msg.Matrix, msg.MatrixPrecision = comm.RoundFloat32(m), comm.Float32
+	default:
+		msg.Matrix = m
 	}
-	return &Result{Sketch: sk, Missing: missing}, nil
+	return nil
 }
 
-// SVS is the §3.1 / Algorithm 2 randomized (α,0)-sketch protocol with the
-// two-round norm calibration. Streaming switches the servers to the
-// one-pass pipeline (FD at α/2 locally, then SVS on the local sketch) so no
-// server ever materializes its raw input.
-type SVS struct {
-	Alpha    float64
-	Delta    float64
-	Sampling SamplingFn
-	// Streaming selects the one-pass server pipeline (always quadratic
-	// sampling, as in the paper's framework).
-	Streaming bool
-	Env       Env
-}
-
-// Name implements Protocol.
-func (p SVS) Name() string {
-	if p.Streaming {
-		return "svs-streaming"
-	}
-	return "svs"
-}
-
-// Estimand implements Protocol.
-func (p SVS) Estimand() Estimand { return EstimandCovariance }
-
-func (p SVS) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p SVS) rounds() int { return 2 }
-
-// Server implements Protocol.
-func (p SVS) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
+// sendMatrix transmits m under the config's wire policy.
+func (c Config) sendMatrix(ctx context.Context, node Node, to int, kind string, m *matrix.Dense) error {
+	msg := &comm.Message{Kind: kind}
+	if err := c.putMatrix(msg, m); err != nil {
 		return err
 	}
-	if p.Streaming {
-		return ServerSVSStreaming(ctx, node, local, p.Env.Servers, p.Alpha, p.Delta, p.Env.Config)
+	return node.Send(ctx, to, msg)
+}
+
+// recvMatrix extracts the matrix payload regardless of quantization.
+func recvMatrix(msg *comm.Message) (*matrix.Dense, error) {
+	switch {
+	case msg.Matrix != nil:
+		return msg.Matrix, nil
+	case msg.Quantized != nil:
+		return msg.Quantized.Dequantize(), nil
+	default:
+		return nil, fmt.Errorf("distributed: message %q carries no matrix", msg.Kind)
 	}
-	return ServerSVS(ctx, node, local, p.Env.Servers, p.Alpha, p.Delta, p.Sampling, p.Env.Config)
 }
 
-// Coordinator implements Protocol.
-func (p SVS) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, err := CoordSVS(ctx, node, p.Env.Servers, p.Env.Config)
-	if err != nil {
-		return nil, err
+func (c Config) rng(serverID int) *rand.Rand {
+	return rand.New(rand.NewSource(c.Seed + int64(serverID) + 1))
+}
+
+// minDim is the number of singular triples of m — the SVS candidate count.
+func minDim(m *matrix.Dense) int {
+	r, c := m.Dims()
+	if r < c {
+		return r
 	}
-	return &Result{Sketch: sk}, nil
-}
-
-// RowSampling is the [10] baseline: distributed squared-norm row sampling
-// with m = ⌈1/ε²⌉ global samples.
-type RowSampling struct {
-	Eps float64
-	Env Env
-}
-
-// Name implements Protocol.
-func (p RowSampling) Name() string { return "row-sampling" }
-
-// Estimand implements Protocol.
-func (p RowSampling) Estimand() Estimand { return EstimandCovariance }
-
-func (p RowSampling) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p RowSampling) rounds() int { return 2 }
-
-// Server implements Protocol.
-func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerRowSampling(ctx, node, local, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, err := CoordRowSampling(ctx, node, p.Env.Servers, rowsample.SampleSize(p.Eps), p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: sk}, nil
-}
-
-// Adaptive is the §3.2 / Theorem 7 adaptive (ε,k)-sketch protocol.
-type Adaptive struct {
-	AdaptiveParams
-	Env Env
-}
-
-// Name implements Protocol.
-func (p Adaptive) Name() string { return "adaptive" }
-
-// Estimand implements Protocol.
-func (p Adaptive) Estimand() Estimand { return EstimandCovariance }
-
-func (p Adaptive) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p Adaptive) rounds() int { return 2 }
-
-// Server implements Protocol.
-func (p Adaptive) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerAdaptive(ctx, node, local, p.Env.Servers, p.AdaptiveParams, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p Adaptive) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, err := CoordAdaptive(ctx, node, p.Env.Servers, p.AdaptiveParams, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: sk}, nil
-}
-
-// LowRankExact is the §3.3 Case-1 exact protocol for inputs of rank at most
-// 2·KBound per server.
-type LowRankExact struct {
-	KBound int
-	Env    Env
-}
-
-// Name implements Protocol.
-func (p LowRankExact) Name() string { return "lowrank-exact" }
-
-// Estimand implements Protocol.
-func (p LowRankExact) Estimand() Estimand { return EstimandCovariance }
-
-func (p LowRankExact) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p LowRankExact) rounds() int { return 1 }
-
-// Server implements Protocol.
-func (p LowRankExact) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerLowRankExact(ctx, node, local, p.KBound, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	gram, sketch, err := CoordLowRankExact(ctx, node, p.Env.Servers, p.Env.Dim, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Gram: gram, Sketch: sketch}, nil
-}
-
-// FullTransfer is the trivial exact baseline: ship every row to the
-// coordinator.
-type FullTransfer struct {
-	Env Env
-}
-
-// Name implements Protocol.
-func (p FullTransfer) Name() string { return "full-transfer" }
-
-// Estimand implements Protocol.
-func (p FullTransfer) Estimand() Estimand { return EstimandCovariance }
-
-func (p FullTransfer) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p FullTransfer) rounds() int { return 1 }
-
-// Server implements Protocol.
-func (p FullTransfer) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerFullTransfer(ctx, node, local, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p FullTransfer) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	return CoordFullTransfer(ctx, node, p.Env.Servers, p.Env.Config)
+	return c
 }

@@ -9,145 +9,53 @@ import (
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/rowsample"
-	"repro/internal/workload"
 )
-
-// Config holds options common to all sketch protocols.
-type Config struct {
-	// Quantize rounds every sketch matrix to QuantStep precision before
-	// sending (§3.3), so costs are counted at O(log(nd/ε)) bits per entry
-	// instead of full 64-bit words.
-	Quantize bool
-	// QuantStep is the additive rounding precision; required when Quantize
-	// is set (use comm.StepFor).
-	QuantStep float64
-	// WirePrecision selects the wire width of matrix payloads
-	// (comm.Float64 by default). comm.Float32 halves every sketch's word
-	// count: senders round entries to float32-representable values before
-	// transmission, so in-memory and socket transports carry identical
-	// payloads and meter identically, at an additive error bounded by
-	// comm.Float32RoundTripError (charge it against the certificate like a
-	// quantized leg's step). Mutually exclusive with Quantize, whose step
-	// accounting already covers the payload.
-	WirePrecision comm.Precision
-	// Seed seeds each server's private randomness (server i uses Seed+i).
-	Seed int64
-	// Stragglers bounds how long the coordinator waits for each server and
-	// whether quorum-tolerant protocols may proceed without stragglers.
-	Stragglers StragglerPolicy
-	// Parallelism sets the process-wide compute worker pool width before
-	// the run (0 leaves the pool unchanged; the default width is
-	// GOMAXPROCS). It only affects local kernel speed — communication word
-	// counts and protocol transcripts are identical at every width.
-	Parallelism int
-	// Shrink selects the FD shrink strategy for the fd-merge protocol: the
-	// rule every leaf's streaming sketch and every merge node applies (nil
-	// = fd.FastFD; see fd.ShrinkStrategy). Only mergeable strategies are
-	// legal here — fd.Vanilla, fd.FastFD, fd.AlphaFD(α) — and a variant
-	// without a mergeability proof (fd.ISVD, fd.Compensative) fails the
-	// run loudly at the first merge path rather than silently degrading
-	// the certificate. Protocols that use FD internally as a fixed
-	// analysis step (adaptive, streaming SVS) deliberately ignore this
-	// knob: their guarantees are proven against the default FD rule.
-	// Strategy choice never changes metered communication — every summary
-	// is still at most ℓ rows.
-	Shrink fd.ShrinkStrategy
-	// Obs is the observability sink for this run's protocol events (nil
-	// falls back to the process-wide obs.Default(), which is itself nil —
-	// the no-op observer — unless installed). Observation never changes
-	// metered communication: word counts and transcripts are identical
-	// with and without it.
-	Obs *obs.Observer
-}
-
-// observer resolves the config's observability sink: the explicit Obs, or
-// the process-wide default. The result may be nil — every Observer method
-// is a no-op on a nil receiver.
-func (c Config) observer() *obs.Observer {
-	if c.Obs != nil {
-		return c.Obs
-	}
-	return obs.Default()
-}
-
-// sendMatrix transmits m under the config's quantization policy.
-func (c Config) sendMatrix(ctx context.Context, node Node, to int, kind string, m *matrix.Dense) error {
-	if !c.Quantize {
-		if c.WirePrecision == comm.Float32 {
-			// Round before handing the payload to the transport: the
-			// in-memory network shares the message by pointer without
-			// encoding, so rounding here keeps it value- and
-			// word-identical with the socket wire format.
-			return node.Send(ctx, to, &comm.Message{
-				Kind: kind, Matrix: comm.RoundFloat32(m), MatrixPrecision: comm.Float32,
-			})
-		}
-		return node.Send(ctx, to, &comm.Message{Kind: kind, Matrix: m})
-	}
-	q, err := comm.NewQuantizer(c.QuantStep).Quantize(m)
-	if err != nil {
-		return fmt.Errorf("distributed: quantize %s: %w", kind, err)
-	}
-	return node.Send(ctx, to, &comm.Message{Kind: kind, Quantized: q})
-}
-
-// recvMatrix extracts the matrix payload regardless of quantization.
-func recvMatrix(msg *comm.Message) (*matrix.Dense, error) {
-	switch {
-	case msg.Matrix != nil:
-		return msg.Matrix, nil
-	case msg.Quantized != nil:
-		return msg.Quantized.Dequantize(), nil
-	default:
-		return nil, fmt.Errorf("distributed: message %q carries no matrix", msg.Kind)
-	}
-}
-
-func (c Config) rng(serverID int) *rand.Rand {
-	return rand.New(rand.NewSource(c.Seed + int64(serverID) + 1))
-}
-
-// minDim is the number of singular triples of m — the SVS candidate count.
-func minDim(m *matrix.Dense) int {
-	r, c := m.Dims()
-	if r < c {
-		return r
-	}
-	return c
-}
-
-func finish(res *Result, meter *comm.Meter) *Result {
-	res.Words = meter.Words()
-	res.Bits = meter.Bits()
-	res.Rounds = meter.Rounds()
-	res.Messages = meter.Messages()
-	return res
-}
 
 // ---------------------------------------------------------------------------
 // Theorem 2: deterministic FD merge.
 // ---------------------------------------------------------------------------
 
-// ServerFDMerge is the server side of the deterministic protocol: stream the
-// local rows through FD — one pass, O(d·ℓ) working space regardless of the
-// source's size — and send the ℓ-row sketch to the coordinator. Sparse
-// sources take the nnz-proportional update path. Under a tree plan the
-// driver routes the summary to the leaf's aggregator instead (see
-// serverFDMergeTo); this star entry point is kept for direct callers.
-func ServerFDMerge(ctx context.Context, node Node, local workload.RowSource, eps float64, k int, cfg Config) error {
-	return serverFDMergeTo(ctx, node, comm.CoordinatorID, local, eps, k, cfg)
+// FDMerge is the deterministic Theorem 2 protocol: each server streams its
+// rows through FD and the aggregation plan's interior merges the sketches
+// with the canonical FD reduction. Expected communication: O(s·k·d/ε)
+// words. It is the one protocol whose gathers honour a straggler quorum:
+// FD sketches merge associatively, so any node can proceed with a subset of
+// its subtree, sketching the responsive servers' rows and reporting the
+// absentees in Result.Missing. For the same reason it is the one built-in
+// protocol that runs under a tree Topology.
+type FDMerge struct {
+	Eps float64
+	K   int
+	Env Env
 }
 
-// serverFDMergeTo is ServerFDMerge with an explicit uplink destination —
-// the coordinator in the star, the leaf's aggregator in a tree.
-func serverFDMergeTo(ctx context.Context, node Node, dest int, local workload.RowSource, eps float64, k int, cfg Config) error {
+// Name implements Protocol.
+func (p FDMerge) Name() string { return "fd-merge" }
+
+// Estimand implements Protocol.
+func (p FDMerge) Estimand() Estimand { return EstimandCovariance }
+
+func (p FDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p FDMerge) rounds() int { return 1 }
+
+// Server implements Protocol: stream the local rows through FD — one pass,
+// O(d·ℓ) working space regardless of the source's size — and send the
+// ℓ-row sketch upward (to the coordinator in the star, to the leaf's
+// aggregator under a tree plan). Sparse sources take the nnz-proportional
+// update path.
+func (p FDMerge) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
+	cfg := p.Env.Config
 	if err := fd.CheckMergeable(cfg.Shrink); err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
 	}
 	_, d := local.Dims()
-	sk := fd.New(d, fd.SketchSize(eps, k), fd.Options{Obs: cfg.Obs, Strategy: cfg.Shrink})
+	sk := fd.New(d, fd.SketchSize(p.Eps, p.K), fd.Options{Obs: cfg.Obs, Strategy: cfg.Shrink})
 	rows, sparse, err := streamRows(local, sk.Update, sk.UpdateSparse)
 	if err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
@@ -157,58 +65,82 @@ func serverFDMergeTo(ctx context.Context, node Node, dest int, local workload.Ro
 	if err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
 	}
-	return cfg.sendMatrix(ctx, node, dest, "fd-sketch", b)
+	return cfg.sendMatrix(ctx, node, p.Env.parent(node.ID()), "fd-sketch", b)
 }
 
-// CoordFDMerge is the star coordinator side: collect the s local sketches
-// and reduce them with the canonical FD merge, yielding an (ε,k)-sketch of
-// A (mergeability, Theorem 2). Under a quorum straggler policy
-// (cfg.Stragglers.Quorum > 0) the merge proceeds once the quorum has
-// reported and the returned missing slice lists the absent servers — the
-// sketch then covers only the responsive servers' rows. Tree runs go
-// through the same gather-and-merge code with a deeper plan (WithTopology),
-// so their results are bit-identical to this star path at every
+// Coordinator implements Protocol: collect the children's sketches and
+// reduce them with the canonical FD merge, yielding an (ε,k)-sketch of A
+// (mergeability, Theorem 2). Under a quorum straggler policy
+// (Stragglers.Quorum > 0) the merge proceeds once the quorum has reported
+// and Result.Missing lists the absent servers — the sketch then covers only
+// the responsive servers' rows. Star and tree runs go through the same
+// gather-and-merge code, so their results are bit-identical at every
 // power-of-two fan-out (see fd.MergeCanonical).
-func CoordFDMerge(ctx context.Context, node Node, s, d int, eps float64, k int, cfg Config) (*matrix.Dense, []int, error) {
-	plan, err := Star().Plan(s)
+func (p FDMerge) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	sk, missing, err := coordFDGather(ctx, node, p.Env.plan(), p.Env.Dim, fd.SketchSize(p.Eps, p.K), p.Env.Config)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return coordFDGather(ctx, node, plan, d, fd.SketchSize(eps, k), cfg)
-}
-
-// RunFDMerge runs the full Theorem 2 protocol in-process over parts.
-// Expected communication: O(s·k·d/ε) words.
-func RunFDMerge(ctx context.Context, parts []*matrix.Dense, eps float64, k int, cfg Config) (*Result, error) {
-	return Run(ctx, FDMerge{Eps: eps, K: k}, parts, WithConfig(cfg))
+	return &Result{Sketch: sk, Missing: missing}, nil
 }
 
 // ---------------------------------------------------------------------------
 // §3.1 / Algorithm 2: SVS protocol.
 // ---------------------------------------------------------------------------
 
-// ServerSVS is the server side of Algorithm 2 with the two-round calibration
-// the paper sketches in footnote 6: send ‖A_i‖F² (one word), receive the
-// global ‖A‖F² (one word), then run SVS with the shared sampling function
-// and send the sampled rows. The batch SVS needs the full local block (its
-// SVD), so the source is materialized — O(n_i·d) memory; use the Streaming
-// variant for bounded space.
-func ServerSVS(ctx context.Context, node Node, src workload.RowSource, s int, alpha, delta float64, sampling SamplingFn, cfg Config) error {
-	local, err := materializeLocal(node, src)
+// SVS is the §3.1 / Algorithm 2 randomized (α,0)-sketch protocol with the
+// two-round norm calibration. Expected communication: O(√s·d·√log(d/δ)/α)
+// words (quadratic g) plus the 2s calibration words. Streaming switches the
+// servers to the one-pass pipeline (FD at α/2 locally, then SVS on the
+// local sketch) so no server ever materializes its raw input.
+type SVS struct {
+	Alpha    float64
+	Delta    float64
+	Sampling SamplingFn
+	// Streaming selects the one-pass server pipeline (always quadratic
+	// sampling, as in the paper's framework).
+	Streaming bool
+	Env       Env
+}
+
+// Name implements Protocol.
+func (p SVS) Name() string {
+	if p.Streaming {
+		return "svs-streaming"
+	}
+	return "svs"
+}
+
+// Estimand implements Protocol.
+func (p SVS) Estimand() Estimand { return EstimandCovariance }
+
+func (p SVS) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p SVS) rounds() int { return 2 }
+
+// Server implements Protocol with the two-round calibration the paper
+// sketches in footnote 6: send ‖A_i‖F² (one word), receive the global
+// ‖A‖F² (one word), then run SVS with the shared sampling function and send
+// the sampled rows.
+func (p SVS) Server(ctx context.Context, node Node, in Input) error {
+	src, err := in.Covariance(p.Name())
 	if err != nil {
 		return err
 	}
-	cfg.observer().RowsIngested(int64(local.Rows()), false)
-	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{local.Frob2()}}); err != nil {
+	cfg := p.Env.Config
+	local, frob2, alpha, sampling, err := p.localInput(node, src)
+	if err != nil {
+		return err
+	}
+	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{frob2}}); err != nil {
 		return err
 	}
 	msg, err := expectKind(ctx, node, "frob2-total")
 	if err != nil {
 		return err
 	}
-	frob2 := msg.Scalars[0]
+	g := sampling.Build(p.Env.Servers, local.Cols(), alpha, p.Delta, msg.Scalars[0])
 	msg.Release()
-	g := sampling.Build(s, local.Cols(), alpha, delta, frob2)
 	b, err := core.SVS(local, g, cfg.rng(node.ID()))
 	if err != nil {
 		return fmt.Errorf("server %d SVS: %w", node.ID(), err)
@@ -217,10 +149,47 @@ func ServerSVS(ctx context.Context, node Node, src workload.RowSource, s int, al
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "svs-sketch", b)
 }
 
-// CoordSVS is the coordinator side of Algorithm 2. The calibration round
-// makes a partial merge unsound (the broadcast mass would include servers
-// whose rows never arrive), so stragglers are always fail-fast here.
-func CoordSVS(ctx context.Context, node Node, s int, cfg Config) (*matrix.Dense, error) {
+// localInput prepares what the server samples from: the matrix, its exact
+// local mass for the calibration round, and the accuracy and sampling
+// function to sample it at. The batch form needs the full local block (its
+// SVD), so the source is materialized — O(n_i·d) memory. The streaming form
+// follows the paper's framework sentence ("each server first independently
+// computes a local sketch using a streaming algorithm, then all servers run
+// a distributed algorithm on top of the local sketches"): it streams the
+// rows through FD at accuracy α/2 (O(d/α) space) and samples the FD sketch
+// at α/2, so the combined covariance error is still O(α) and the server
+// never holds its raw input.
+func (p SVS) localInput(node Node, src RowSource) (m *matrix.Dense, frob2, alpha float64, sampling SamplingFn, err error) {
+	ob := p.Env.Config.observer()
+	if !p.Streaming {
+		local, err := materializeLocal(node, src)
+		if err != nil {
+			return nil, 0, 0, 0, err
+		}
+		ob.RowsIngested(int64(local.Rows()), false)
+		return local, local.Frob2(), p.Alpha, p.Sampling, nil
+	}
+	_, d := src.Dims()
+	sk := fd.New(d, fd.SketchSize(p.Alpha/2, 0), fd.Options{Obs: p.Env.Config.Obs})
+	n, sparse, err := streamRows(src, sk.Update, sk.UpdateSparse)
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("server %d: %w", node.ID(), err)
+	}
+	ob.RowsIngested(int64(n), sparse)
+	b, err := sk.Matrix()
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("server %d: %w", node.ID(), err)
+	}
+	// The calibration uses the exact streamed mass, not the sketch's
+	// (shrunk) mass, so the shared g matches the true ‖A‖F².
+	return b, sk.InputFrob2(), p.Alpha / 2, SampleQuadratic, nil
+}
+
+// Coordinator implements Protocol. The calibration round makes a partial
+// merge unsound (the broadcast mass would include servers whose rows never
+// arrive), so stragglers are always fail-fast here.
+func (p SVS) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, cfg := p.Env.Servers, p.Env.Config
 	masses, err := gatherAll(ctx, node, s, "frob2", cfg)
 	if err != nil {
 		return nil, err
@@ -233,92 +202,49 @@ func CoordSVS(ctx context.Context, node Node, s int, cfg Config) (*matrix.Dense,
 	if err := broadcast(ctx, node, s, &comm.Message{Kind: "frob2-total", Scalars: []float64{total}}, cfg.observer()); err != nil {
 		return nil, err
 	}
-	sketches, err := gatherAll(ctx, node, s, "svs-sketch", cfg)
+	sk, err := gatherMatrices(ctx, node, s, "svs-sketch", cfg)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*matrix.Dense, 0, s)
-	for _, msg := range sketches {
-		m, err := recvMatrix(msg)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, m)
-	}
-	stacked := matrix.Stack(parts...)
-	for _, msg := range sketches {
-		msg.Release() // Stack copied every part
-	}
-	return stacked, nil
-}
-
-// RunSVS runs the §3.1 randomized (α,0)-sketch protocol in-process.
-// Expected communication: O(√s·d·√log(d/δ)/α) words (quadratic g) plus the
-// 2s calibration words.
-func RunSVS(ctx context.Context, parts []*matrix.Dense, alpha, delta float64, sampling SamplingFn, cfg Config) (*Result, error) {
-	return Run(ctx, SVS{Alpha: alpha, Delta: delta, Sampling: sampling}, parts, WithConfig(cfg))
-}
-
-// ServerSVSStreaming is the one-pass form of the §3.1 protocol, following
-// the paper's framework sentence ("each server first independently computes
-// a local sketch using a streaming algorithm, then all servers run a
-// distributed algorithm on top of the local sketches"): the server streams
-// its rows through FD at accuracy ε/2 (O(d/ε) space), then runs SVS on the
-// FD sketch at accuracy ε/2. The combined covariance error is at most the
-// sum of the two stages' errors, so the output is still an (O(ε),0)-sketch,
-// and the server never holds its raw input in memory.
-func ServerSVSStreaming(ctx context.Context, node Node, rows workload.RowSource, s int, alpha, delta float64, cfg Config) error {
-	_, d := rows.Dims()
-	local := fd.New(d, fd.SketchSize(alpha/2, 0), fd.Options{Obs: cfg.Obs})
-	n, sparse, err := streamRows(rows, local.Update, local.UpdateSparse)
-	if err != nil {
-		return fmt.Errorf("server %d: %w", node.ID(), err)
-	}
-	cfg.observer().RowsIngested(int64(n), sparse)
-	b, err := local.Matrix()
-	if err != nil {
-		return fmt.Errorf("server %d: %w", node.ID(), err)
-	}
-	// The calibration uses the exact streamed mass, not the sketch's
-	// (shrunk) mass, so the shared g matches the true ‖A‖F².
-	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{local.InputFrob2()}}); err != nil {
-		return err
-	}
-	msg, err := expectKind(ctx, node, "frob2-total")
-	if err != nil {
-		return err
-	}
-	globalFrob2 := msg.Scalars[0]
-	msg.Release()
-	g := core.NewQuadraticSampling(s, d, alpha/2, delta, globalFrob2)
-	w, err := core.SVS(b, g, cfg.rng(node.ID()))
-	if err != nil {
-		return fmt.Errorf("server %d SVS: %w", node.ID(), err)
-	}
-	cfg.observer().SVSSampled(w.Rows(), minDim(b))
-	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "svs-sketch", w)
-}
-
-// RunSVSStreaming runs the one-pass §3.1 pipeline in-process; the
-// coordinator side is identical to RunSVS.
-func RunSVSStreaming(ctx context.Context, parts []*matrix.Dense, alpha, delta float64, cfg Config) (*Result, error) {
-	return Run(ctx, SVS{Alpha: alpha, Delta: delta, Streaming: true}, parts, WithConfig(cfg))
+	return &Result{Sketch: sk}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Baseline [10]: distributed squared-norm row sampling.
 // ---------------------------------------------------------------------------
 
-// ServerRowSampling is the server side of the sampling baseline: report the
-// local mass, receive the global mass and this server's sample count, sample
-// locally and send the rescaled rows. Cost O(s + d/ε²) words overall.
+// RowSampling is the [10] baseline: distributed squared-norm row sampling
+// with m = ⌈1/ε²⌉ global samples. Cost O(s + d/ε²) words overall.
+type RowSampling struct {
+	Eps float64
+	Env Env
+}
+
+// Name implements Protocol.
+func (p RowSampling) Name() string { return "row-sampling" }
+
+// Estimand implements Protocol.
+func (p RowSampling) Estimand() Estimand { return EstimandCovariance }
+
+func (p RowSampling) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p RowSampling) rounds() int { return 2 }
+
+// Server implements Protocol: report the local mass, receive the global
+// mass and this server's sample count, sample locally and send the
+// rescaled rows.
 //
 // It runs in two streaming passes over the source — pass 1 accumulates
 // ‖A_i‖F² for the calibration round, Reset, pass 2 draws the assigned count
 // of rows with rowsample.SampleStream — so working space is O(count·d)
 // regardless of the local block's size. Each sampled row is rescaled by
 // 1/√(m·p_global) directly against the global mass.
-func ServerRowSampling(ctx context.Context, node Node, local workload.RowSource, cfg Config) error {
+func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
+	cfg := p.Env.Config
 	_, d := local.Dims()
 	frob2 := 0.0
 	rows := 0
@@ -361,10 +287,11 @@ func ServerRowSampling(ctx context.Context, node Node, local workload.RowSource,
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "sample-rows", out)
 }
 
-// CoordRowSampling is the coordinator side: gather masses, split the m
-// global samples across servers proportionally (multinomially, seeded by
-// cfg.Seed), then stack the returned rows.
-func CoordRowSampling(ctx context.Context, node Node, s, m int, cfg Config) (*matrix.Dense, error) {
+// Coordinator implements Protocol: gather masses, split the m global
+// samples across servers proportionally (multinomially, seeded by
+// Config.Seed), then stack the returned rows.
+func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, cfg, m := p.Env.Servers, p.Env.Config, rowsample.SampleSize(p.Eps)
 	masses, err := gatherAll(ctx, node, s, "mass", cfg)
 	if err != nil {
 		return nil, err
@@ -380,46 +307,44 @@ func CoordRowSampling(ctx context.Context, node Node, s, m int, cfg Config) (*ma
 	// uses locally; rowsample.MultinomialSplit handles the rounding and
 	// zero-mass edge cases (a hand-rolled copy here used to drop samples).
 	split := rowsample.MultinomialSplit(vals, m, rand.New(rand.NewSource(cfg.Seed)))
-	counts := make([]int64, s)
-	for i, c := range split {
-		counts[i] = int64(c)
-	}
-	for i := 0; i < s; i++ {
+	for i, count := range split {
 		if err := node.Send(ctx, i, &comm.Message{
 			Kind:    "sample-plan",
 			Scalars: []float64{total},
-			Ints:    []int64{counts[i], int64(m)},
+			Ints:    []int64{int64(count), int64(m)},
 		}); err != nil {
 			return nil, err
 		}
 	}
-	rowsMsgs, err := gatherAll(ctx, node, s, "sample-rows", cfg)
+	sk, err := gatherMatrices(ctx, node, s, "sample-rows", cfg)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*matrix.Dense, 0, s)
-	for _, msg := range rowsMsgs {
-		mm, err := recvMatrix(msg)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, mm)
-	}
-	stacked := matrix.Stack(parts...)
-	for _, msg := range rowsMsgs {
-		msg.Release() // Stack copied every part
-	}
-	return stacked, nil
-}
-
-// RunRowSampling runs the [10] baseline in-process with m = ⌈1/ε²⌉ samples.
-func RunRowSampling(ctx context.Context, parts []*matrix.Dense, eps float64, cfg Config) (*Result, error) {
-	return Run(ctx, RowSampling{Eps: eps}, parts, WithConfig(cfg))
+	return &Result{Sketch: sk}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Trivial baseline: ship everything.
 // ---------------------------------------------------------------------------
+
+// FullTransfer ships every row to the coordinator — the trivial exact
+// algorithm whose O(n·d) (= O(d³) in the paper's headline setting with
+// n = s/ε = d²) cost anchors the comparisons. Exact cost: n·d + s words
+// (one chunk-count header word per server). The coordinator returns the
+// exact aggregated form (≤ d rows), so downstream error is zero.
+type FullTransfer struct {
+	Env Env
+}
+
+// Name implements Protocol.
+func (p FullTransfer) Name() string { return "full-transfer" }
+
+// Estimand implements Protocol.
+func (p FullTransfer) Estimand() Estimand { return EstimandCovariance }
+
+func (p FullTransfer) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p FullTransfer) rounds() int { return 1 }
 
 // fullTransferChunk is the number of rows per "raw" message: large enough
 // that framing is negligible, small enough that a server streaming a
@@ -427,10 +352,14 @@ func RunRowSampling(ctx context.Context, parts []*matrix.Dense, eps float64, cfg
 // its whole block.
 const fullTransferChunk = 512
 
-// ServerFullTransfer streams the local rows to the coordinator in chunks of
-// fullTransferChunk: one "raw-dims" header (the chunk count, one word)
-// followed by the "raw" chunk messages. Exact cost: n_i·d + 1 words.
-func ServerFullTransfer(ctx context.Context, node Node, local workload.RowSource, cfg Config) error {
+// Server implements Protocol: stream the local rows to the coordinator in
+// chunks of fullTransferChunk — one "raw-dims" header (the chunk count, one
+// word) followed by the "raw" chunk messages. Exact cost: n_i·d + 1 words.
+func (p FullTransfer) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
 	n, d := local.Dims()
 	chunks := (n + fullTransferChunk - 1) / fullTransferChunk
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "raw-dims", Ints: []int64{int64(chunks)}}); err != nil {
@@ -457,21 +386,25 @@ func ServerFullTransfer(ctx context.Context, node Node, local workload.RowSource
 			copy(chunk.Row(i), row)
 		}
 		sent += rows
-		if err := cfg.sendMatrix(ctx, node, comm.CoordinatorID, "raw", chunk); err != nil {
+		if err := p.Env.Config.sendMatrix(ctx, node, comm.CoordinatorID, "raw", chunk); err != nil {
 			return err
 		}
 	}
-	cfg.observer().RowsIngested(int64(sent), false)
+	p.Env.Config.observer().RowsIngested(int64(sent), false)
 	return nil
 }
 
-// CoordFullTransfer collects every server's chunked rows, reassembles them
-// in server order, and returns the exact aggregated form plus the Gram
-// matrix.
-func CoordFullTransfer(ctx context.Context, node Node, s int, cfg Config) (*Result, error) {
+// Coordinator implements Protocol: collect every server's chunked rows,
+// reassemble them in server order, and return the exact aggregated form
+// plus the Gram matrix.
+func (p FullTransfer) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, cfg := p.Env.Servers, p.Env.Config
 	// Exactness needs every row, so a partial-participation quorum is a
 	// configuration error here, same as in every strict gather.
 	if err := rejectQuorum(cfg, "full-transfer"); err != nil {
+		return nil, err
+	}
+	if err := cfg.checkWire(); err != nil {
 		return nil, err
 	}
 	// Headers and chunks interleave freely across servers (a fast server's
@@ -521,13 +454,4 @@ func CoordFullTransfer(ctx context.Context, node Node, s int, cfg Config) (*Resu
 		return nil, err
 	}
 	return &Result{Sketch: agg, Gram: a.Gram()}, nil
-}
-
-// RunFullTransfer ships every row to the coordinator — the trivial exact
-// algorithm whose O(n·d) (= O(d³) in the paper's headline setting with
-// n = s/ε = d²) cost anchors the comparisons. Exact cost: n·d + s words
-// (one chunk-count header word per server). The coordinator returns the
-// exact aggregated form (≤ d rows), so downstream error is zero.
-func RunFullTransfer(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-	return Run(ctx, FullTransfer{}, parts, WithConfig(cfg))
 }

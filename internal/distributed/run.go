@@ -3,13 +3,13 @@ package distributed
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/fd"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -21,17 +21,13 @@ type runOpts struct {
 	mailbox  int
 	meter    *comm.Meter
 	topo     Topology
+	// err is the first invalid option; RunWorkload returns it before any
+	// party starts.
+	err error
 }
 
 // RunOption configures a Run invocation.
 type RunOption func(*runOpts)
-
-// WithConfig replaces the whole common Config (quantization, seed,
-// straggler policy) in one option — the bridge for callers that already
-// hold a Config value.
-func WithConfig(cfg Config) RunOption {
-	return func(o *runOpts) { o.cfg = cfg }
-}
 
 // WithDeadline bounds the whole protocol run: when it expires, every
 // party's pending Send/Recv unblocks and Run returns the deadline error.
@@ -45,9 +41,15 @@ func WithSeed(seed int64) RunOption {
 }
 
 // WithQuantization turns on §3.3 quantization with the given additive step
-// (use comm.StepFor).
+// (use comm.StepFor). The step must be positive and finite; any other value
+// fails the run before a party starts.
 func WithQuantization(step float64) RunOption {
-	return func(o *runOpts) { o.cfg.Quantize, o.cfg.QuantStep = true, step }
+	return func(o *runOpts) {
+		if (!(step > 0) || math.IsInf(step, 1)) && o.err == nil {
+			o.err = fmt.Errorf("distributed: WithQuantization(%v): the step must be positive and finite", step)
+		}
+		o.cfg.QuantStep = step
+	}
 }
 
 // WithWirePrecision sets the wire width of matrix payloads (see
@@ -118,47 +120,26 @@ func WithObserver(ob *obs.Observer) RunOption {
 	return func(o *runOpts) { o.cfg.Obs = ob }
 }
 
-// WithParallelism sets the process-wide compute worker pool to n before the
-// run (n <= 0 leaves the pool at its current width, GOMAXPROCS by default).
-// The pool accelerates local kernels only — FD shrinks, SVDs, matrix
-// products — and never changes metered communication: word counts are
-// identical at every width. The setting is process-global and persists
-// after the run.
-func WithParallelism(n int) RunOption {
-	return func(o *runOpts) { o.cfg.Parallelism = n }
-}
-
 // Run executes proto in-process over len(parts) simulated servers (server i
 // holding parts[i]) plus a coordinator, and returns the coordinator's
-// result with exact communication accounting. It is the thin dense adapter
-// over RunSources — each partition is wrapped in a workload.DenseSource —
-// kept so existing callers and examples work unchanged.
+// result with exact communication accounting. It is the dense convenience
+// form of RunWorkload: each partition becomes one covariance Input over a
+// workload.DenseSource.
 func Run(ctx context.Context, proto Protocol, parts []*matrix.Dense, opts ...RunOption) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("distributed: Run(%s) with no partitions", proto.Name())
 	}
-	return RunSources(ctx, proto, workload.DenseSources(parts), opts...)
-}
-
-// RunSources executes proto in-process over len(sources) simulated servers
-// (server i streaming sources[i]) plus a coordinator. It is the
-// single-matrix adapter over RunWorkload — each source becomes one
-// covariance Input — kept as the entry point for every covariance protocol;
-// handing it file-backed sources runs the whole protocol out of core.
-func RunSources(ctx context.Context, proto Protocol, sources []RowSource, opts ...RunOption) (*Result, error) {
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("distributed: Run(%s) with no sources", proto.Name())
-	}
-	return RunWorkload(ctx, proto, CovarianceInputs(sources), opts...)
+	return RunWorkload(ctx, proto, CovarianceInputs(workload.DenseSources(parts)), opts...)
 }
 
 // RunWorkload executes proto in-process over len(inputs) simulated servers
 // (server i consuming inputs[i]) plus a coordinator, and returns the
-// coordinator's result with exact communication accounting. It is the
-// single driver every Run entry point delegates to, generalized over the
-// protocol's estimand: covariance protocols take one-source inputs, product
-// protocols take aligned (A, B) shard pairs, and the inputs are validated
-// against the protocol's declared Estimand before any goroutine spawns.
+// coordinator's result with exact communication accounting. It is the one
+// protocol driver, generalized over the protocol's estimand: covariance
+// protocols take one-source inputs (CovarianceInputs wraps in-memory or
+// file-backed sources), product protocols take aligned (A, B) shard pairs,
+// and the inputs are validated against the protocol's declared Estimand
+// before any goroutine spawns.
 //
 // RunWorkload derives the protocol's Env from the inputs and the options,
 // spawns one goroutine per server, runs the coordinator on the calling
@@ -172,11 +153,11 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.cfg.Quantize && o.cfg.WirePrecision == comm.Float32 {
-		return nil, fmt.Errorf("distributed: Run(%s): quantization and float32 wire precision are mutually exclusive (the quantizer's step accounting already covers the payload)", proto.Name())
+	if o.err == nil {
+		o.err = o.cfg.checkWire()
 	}
-	if o.cfg.Parallelism > 0 {
-		parallel.SetWorkers(o.cfg.Parallelism)
+	if o.err != nil {
+		return nil, fmt.Errorf("%s: %w", proto.Name(), o.err)
 	}
 	if o.deadline > 0 {
 		var cancel context.CancelFunc
@@ -274,4 +255,12 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	out := finish(res, net.Meter())
 	ob.RunEnd(proto.Name(), out.Words, nil)
 	return out, nil
+}
+
+func finish(res *Result, meter *comm.Meter) *Result {
+	res.Words = meter.Words()
+	res.Bits = meter.Bits()
+	res.Rounds = meter.Rounds()
+	res.Messages = meter.Messages()
+	return res
 }

@@ -73,11 +73,11 @@ func TestSourceEquivalence(t *testing.T) {
 		{"row-sampling", RowSampling{Eps: 0.25}},
 		{"adaptive", Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 3}}},
 	} {
-		mem, err := RunSources(ctx, tc.proto, workload.DenseSources(parts), WithSeed(11))
+		mem, err := Run(ctx, tc.proto, parts, WithSeed(11))
 		if err != nil {
 			t.Fatalf("%s (mem): %v", tc.name, err)
 		}
-		file, err := RunSources(ctx, tc.proto, fileSources(t, parts), WithSeed(11))
+		file, err := RunWorkload(ctx, tc.proto, CovarianceInputs(fileSources(t, parts)), WithSeed(11))
 		if err != nil {
 			t.Fatalf("%s (file): %v", tc.name, err)
 		}
@@ -100,11 +100,11 @@ func TestSparseSourceEquivalence(t *testing.T) {
 	}
 	denseParts := workload.Split(sp.ToDense(), s, workload.Contiguous, nil)
 	proto := FDMerge{Eps: 0.2}
-	mem, err := RunSources(ctx, proto, workload.DenseSources(denseParts), WithSeed(3))
+	mem, err := Run(ctx, proto, denseParts, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spRes, err := RunSources(ctx, proto, sparse, WithSeed(3))
+	spRes, err := RunWorkload(ctx, proto, CovarianceInputs(sparse), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSparseSourceEquivalence(t *testing.T) {
 // n·d + s (one header word per server).
 func TestFullTransferChunking(t *testing.T) {
 	a, parts := split(t, 13, 2600, 8, 2) // 1300 rows/server → 3 chunks each
-	res, err := RunFullTransfer(context.Background(), parts, Config{})
+	res, err := Run(context.Background(), FullTransfer{}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFullTransferChunking(t *testing.T) {
 		t.Fatalf("words = %v, want %v", res.Words, want)
 	}
 	// And through file-backed sources, identically.
-	file, err := RunSources(context.Background(), FullTransfer{}, fileSources(t, parts))
+	file, err := RunWorkload(context.Background(), FullTransfer{}, CovarianceInputs(fileSources(t, parts)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFDMergeBoundedMemory(t *testing.T) {
 			}
 		}
 	}()
-	res, err := RunSources(context.Background(), FDMerge{Eps: 0.25}, sources)
+	res, err := RunWorkload(context.Background(), FDMerge{Eps: 0.25}, CovarianceInputs(sources))
 	close(done)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,10 @@ package distributed
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,129 +17,198 @@ import (
 	"repro/internal/workload"
 )
 
-// TestTCPFDMergeEndToEnd runs the deterministic protocol over real TCP
-// sockets: a coordinator hub and s dialing servers, exchanging framed
-// messages, with word accounting on both sides.
-func TestTCPFDMergeEndToEnd(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(1))
-	a := workload.LowRankPlusNoise(rng, 200, 12, 3, 20, 0.7, 0.4)
-	s := 4
-	parts := workload.Split(a, s, workload.Contiguous, nil)
-	eps, k := 0.25, 3
-
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+// tcpRun drives proto's two roles over real loopback TCP sockets — a
+// coordinator hub and one dialing server per input — with env installed on
+// every party, the way cmd/distsketch deploys a protocol. Every endpoint
+// records on the one returned meter, so its totals are directly comparable
+// with an in-memory run's.
+func tcpRun(t *testing.T, proto Protocol, inputs []Input, env Env) (*Result, *comm.Meter) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	proto = proto.(envSetter).withEnv(env)
+	s := len(inputs)
+	meter := comm.NewMeter()
+	coord, err := NewTCPCoordinator("127.0.0.1:0", s, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-
 	var wg sync.WaitGroup
 	serverErrs := make(chan error, s)
-	serverWords := make(chan float64, s)
-	for i := 0; i < s; i++ {
+	for i := range inputs {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
+			srv, err := DialTCPServerContext(ctx, coord.Addr(), id, meter, TCPOptions{})
 			if err != nil {
 				serverErrs <- err
 				return
 			}
 			defer srv.Close()
-			if err := ServerFDMerge(ctx, srv.Node(), workload.NewDenseSource(parts[id]), eps, k, Config{}); err != nil {
-				serverErrs <- err
-				return
+			if err := proto.Server(ctx, srv.Node(), inputs[id]); err != nil {
+				serverErrs <- fmt.Errorf("server %d: %w", id, err)
 			}
-			serverWords <- srv.Meter().Words()
 		}(i)
 	}
-
 	if err := coord.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sketch, missing, err := CoordFDMerge(ctx, coord.Node(), s, 12, eps, k, Config{})
+	res, err := proto.Coordinator(ctx, coord.Node())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(missing) != 0 {
-		t.Fatalf("unexpected stragglers: %v", missing)
 	}
 	wg.Wait()
 	close(serverErrs)
 	for err := range serverErrs {
 		t.Fatal(err)
 	}
-	close(serverWords)
-	total := 0.0
-	for w := range serverWords {
-		total += w
-	}
+	return res, meter
+}
 
-	ok, ce, bound, err := core.IsEpsKSketch(a, sketch, eps, k)
-	if err != nil {
-		t.Fatal(err)
+// TestTCPMatchesMem runs every covariance protocol struct through its two
+// roles over real TCP and checks the sockets carry exactly the in-memory
+// protocol: a bit-identical Sketch and Gram, and the same words, bits and
+// messages on every link. Each row also keeps its protocol's guarantee
+// check on the TCP result.
+func TestTCPMatchesMem(t *testing.T) {
+	const seed = 7
+	fdData := func() *matrix.Dense {
+		return workload.LowRankPlusNoise(rand.New(rand.NewSource(1)), 200, 12, 3, 20, 0.7, 0.4)
 	}
-	if !ok {
-		t.Fatalf("TCP FD merge sketch error %v > %v", ce, bound)
+	svsData := func() *matrix.Dense {
+		return workload.PowerLawSpectrum(rand.New(rand.NewSource(2)), 240, 10, 0.8, 10)
 	}
-	if total <= 0 {
-		t.Fatal("server meters recorded nothing")
+	rankData := func() *matrix.Dense {
+		return workload.ExactRank(rand.New(rand.NewSource(12)), 120, 14, 6, 4)
+	}
+	covBound := func(alpha float64) func(*testing.T, *matrix.Dense, *Result) {
+		return func(t *testing.T, a *matrix.Dense, res *Result) {
+			ce, err := core.CovErr(a, res.Sketch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ce > 4*alpha*a.Frob2() {
+				t.Fatalf("TCP coverr %v > %v", ce, 4*alpha*a.Frob2())
+			}
+		}
+	}
+	epsK := func(eps float64, k int) func(*testing.T, *matrix.Dense, *Result) {
+		return func(t *testing.T, a *matrix.Dense, res *Result) {
+			ok, ce, bound, err := core.IsEpsKSketch(a, res.Sketch, eps, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatalf("TCP sketch error %v > %v", ce, bound)
+			}
+		}
+	}
+	exactGram := func(t *testing.T, a *matrix.Dense, res *Result) {
+		if !res.Gram.EqualApprox(a.Gram(), 1e-5*(1+a.Gram().MaxAbs())) {
+			t.Fatal("TCP Gram differs from AᵀA")
+		}
+	}
+	cases := []struct {
+		proto Protocol
+		data  func() *matrix.Dense
+		s     int
+		check func(*testing.T, *matrix.Dense, *Result)
+	}{
+		{FDMerge{Eps: 0.25, K: 3}, fdData, 4, epsK(0.25, 3)},
+		{SVS{Alpha: 0.25, Delta: 0.1, Sampling: SampleQuadratic}, svsData, 3, covBound(0.25)},
+		{SVS{Alpha: 0.25, Delta: 0.1, Streaming: true}, svsData, 3, covBound(0.25)},
+		{RowSampling{Eps: 0.3}, svsData, 3, covBound(0.3)},
+		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 3}}, fdData, 4, epsK(3*0.25, 3)},
+		{LowRankExact{KBound: 3}, rankData, 5, exactGram},
+		{FullTransfer{}, fdData, 4, exactGram},
+	}
+	for _, tc := range cases {
+		t.Run(tc.proto.Name(), func(t *testing.T) {
+			a := tc.data()
+			parts := workload.Split(a, tc.s, workload.Contiguous, nil)
+			memMeter := comm.NewMeter()
+			mem, err := Run(context.Background(), tc.proto, parts, WithSeed(seed), WithMeter(memMeter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, d := a.Dims()
+			res, meter := tcpRun(t, tc.proto, CovarianceInputs(workload.DenseSources(parts)),
+				Env{Servers: tc.s, Dim: d, Config: Config{Seed: seed}})
+			if len(res.Missing) != 0 {
+				t.Fatalf("unexpected stragglers: %v", res.Missing)
+			}
+			if (mem.Sketch == nil) != (res.Sketch == nil) || mem.Sketch != nil && !res.Sketch.Equal(mem.Sketch) {
+				t.Fatal("TCP sketch differs from the in-memory run")
+			}
+			if (mem.Gram == nil) != (res.Gram == nil) || mem.Gram != nil && !res.Gram.Equal(mem.Gram) {
+				t.Fatal("TCP Gram differs from the in-memory run")
+			}
+			uplink := 0.0
+			for i := 0; i < tc.s; i++ {
+				uplink += meter.LinkWords(i, comm.CoordinatorID)
+			}
+			if uplink <= 0 {
+				t.Fatal("server meters recorded nothing")
+			}
+			if meter.Words() != mem.Words || meter.Bits() != mem.Bits || meter.Messages() != mem.Messages {
+				t.Fatalf("TCP metered %v words / %d bits / %d msgs, in-memory %v / %d / %d",
+					meter.Words(), meter.Bits(), meter.Messages(), mem.Words, mem.Bits, mem.Messages)
+			}
+			for i := 0; i < tc.s; i++ {
+				for _, l := range [][2]int{{i, comm.CoordinatorID}, {comm.CoordinatorID, i}} {
+					if got, want := meter.LinkWords(l[0], l[1]), memMeter.LinkWords(l[0], l[1]); got != want {
+						t.Errorf("link %d→%d: TCP %v words, in-memory %v", l[0], l[1], got, want)
+					}
+				}
+			}
+			tc.check(t, a, res)
+		})
 	}
 }
 
-// TestTCPSVSEndToEnd runs the randomized two-round protocol over TCP,
-// exercising coordinator→server broadcast over the sockets.
-func TestTCPSVSEndToEnd(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(2))
-	a := workload.PowerLawSpectrum(rng, 240, 10, 0.8, 10)
-	s := 3
-	parts := workload.Split(a, s, workload.Contiguous, nil)
-	alpha := 0.25
-
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
-	if err != nil {
-		t.Fatal(err)
+// A quantization step no quantizer accepts must surface as an error from
+// the roles — never a panic in a server goroutine — on both transports.
+func TestInvalidQuantStepIsAnError(t *testing.T) {
+	_, parts := split(t, 30, 80, 8, 2)
+	for _, step := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := Run(context.Background(), FDMerge{Eps: 0.3, K: 2}, parts, WithQuantization(step)); err == nil ||
+			!strings.Contains(err.Error(), "WithQuantization") {
+			t.Errorf("WithQuantization(%v): %v", step, err)
+		}
 	}
-	defer coord.Close()
-
-	var wg sync.WaitGroup
-	serverErrs := make(chan error, s)
-	for i := 0; i < s; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
-			if err != nil {
-				serverErrs <- err
-				return
+	for _, step := range []float64{-1, math.NaN(), math.Inf(1)} {
+		proto := FDMerge{Eps: 0.3, K: 2, Env: Env{Servers: 2, Dim: 8, Config: Config{QuantStep: step}}}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		coord, err := NewTCPCoordinator("127.0.0.1:0", 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serverErrs := make(chan error, 2)
+		for id := 0; id < 2; id++ {
+			go func(id int) {
+				srv, err := DialTCPServerContext(ctx, coord.Addr(), id, nil, TCPOptions{})
+				if err != nil {
+					serverErrs <- err
+					return
+				}
+				defer srv.Close()
+				serverErrs <- proto.Server(ctx, srv.Node(), CovarianceInput(workload.NewDenseSource(parts[id])))
+			}(id)
+		}
+		if err := coord.Accept(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := proto.Coordinator(ctx, coord.Node()); err == nil {
+			t.Errorf("QuantStep %v: coordinator returned no error", step)
+		}
+		for id := 0; id < 2; id++ {
+			if err := <-serverErrs; err == nil || !strings.Contains(err.Error(), "quantization step") {
+				t.Errorf("QuantStep %v: server error %v", step, err)
 			}
-			defer srv.Close()
-			if err := ServerSVS(ctx, srv.Node(), workload.NewDenseSource(parts[id]), s, alpha, 0.1, SampleQuadratic, Config{Seed: 7}); err != nil {
-				serverErrs <- err
-			}
-		}(i)
-	}
-
-	if err := coord.Accept(ctx); err != nil {
-		t.Fatal(err)
-	}
-	sketch, err := CoordSVS(ctx, coord.Node(), s, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(serverErrs)
-	for err := range serverErrs {
-		t.Fatal(err)
-	}
-	ce, err := core.CovErr(a, sketch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce > 4*alpha*a.Frob2() {
-		t.Fatalf("TCP SVS coverr %v > %v", ce, 4*alpha*a.Frob2())
+		}
+		coord.Close()
+		cancel()
 	}
 }
 

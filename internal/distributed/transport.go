@@ -352,6 +352,11 @@ type gatherSpec struct {
 // The returned missing slice lists, in spec.Peers order, the peers a met
 // quorum allowed the gather to proceed without (nil on full delivery).
 func gatherFrom(ctx context.Context, node Node, cfg Config, spec gatherSpec, accept func(*comm.Message) error) (missing []int, err error) {
+	// A wire policy the servers cannot apply fails the gather up front
+	// rather than waiting on servers that will never send.
+	if err := cfg.checkWire(); err != nil {
+		return nil, err
+	}
 	pol := cfg.Stragglers
 	if spec.Quorum == nil {
 		if err := rejectQuorum(cfg, spec.Label); err != nil {
@@ -462,6 +467,28 @@ func gather(ctx context.Context, node Node, s int, kind string, cfg Config, part
 func gatherAll(ctx context.Context, node Node, s int, kind string, cfg Config) ([]*comm.Message, error) {
 	msgs, _, err := gather(ctx, node, s, kind, cfg, false)
 	return msgs, err
+}
+
+// gatherMatrices receives one matrix of the given kind from every server and
+// stacks them in server order.
+func gatherMatrices(ctx context.Context, node Node, s int, kind string, cfg Config) (*matrix.Dense, error) {
+	msgs, err := gatherAll(ctx, node, s, kind, cfg)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*matrix.Dense, 0, s)
+	for _, msg := range msgs {
+		m, err := recvMatrix(msg)
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, m)
+	}
+	stacked := matrix.Stack(parts...)
+	for _, msg := range msgs {
+		msg.Release() // Stack copied every part
+	}
+	return stacked, nil
 }
 
 // recvPolicy is Recv bounded by an optional per-message timeout.

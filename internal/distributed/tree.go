@@ -30,39 +30,40 @@ func AggregateTree(ctx context.Context, proto Protocol, node Node, plan *Plan) e
 	return ta.Aggregate(ctx, node, plan)
 }
 
-// fdSubtreeGather is one tree-node gather of "fd-sketch" summaries: node
-// (an aggregator or the root) collects one summary from each child under
-// the straggler policy, with the quorum scaled to this subtree
+// coordFDGather is the gather-and-merge step of every FD tree node — the
+// root under any plan (the star is the depth-1 case) and each aggregator.
+// The node collects one "fd-sketch" summary from each child under the
+// straggler policy, with the quorum scaled to this subtree
 // (Plan.SubtreeQuorum) and counted in covered leaves — a child that itself
 // proceeded without some of its leaves reports them in the message's Ints,
-// and those leaves do not count toward this node's quorum either. The
-// returned parts are in child order (the determinism anchor: merge order
-// never depends on arrival order) and missing lists the absent leaf IDs.
-//
-// The returned release recycles the gathered messages' pooled buffers (a
-// no-op off the socket transport). Callers may invoke it once every part
-// has been consumed: a canonical merge of two or more parts never aliases
-// them (mergePair always allocates), but a single part passes through
-// fd.MergeCanonical by reference, so callers must skip release in that
-// case and let the GC reclaim the message.
-func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config, partialOK bool) (parts []*matrix.Dense, missing []int, release func(), err error) {
+// and those leaves do not count toward this node's quorum either. It then
+// reduces the summaries in child order (the determinism anchor: merge order
+// never depends on arrival order) with the canonical merge, and returns the
+// sketch plus the absent leaf IDs. Because the canonical reduction is
+// grouping-invariant over consecutive power-of-two groups (see
+// fd.MergeCanonical), the result is bit-identical across star and every
+// power-of-two fan-out.
+func coordFDGather(ctx context.Context, node Node, plan *Plan, d, ell int, cfg Config) (*matrix.Dense, []int, error) {
+	// Fail before gathering: a non-mergeable shrink strategy is a
+	// configuration error, not a data error, and must surface even when no
+	// summary ever arrives.
+	if err := fd.CheckMergeable(cfg.Shrink); err != nil {
+		return nil, nil, err
+	}
 	self := node.ID()
 	children := plan.Children(self)
 	byChild := make(map[int]*comm.Message, len(children))
 	pol := cfg.Stragglers
-	spec := gatherSpec{Label: "fd-sketch", Peers: children}
-	if partialOK {
-		spec.Quorum = func(done []int) bool {
-			if pol.Quorum <= 0 {
-				return false
-			}
-			covered := 0
-			for _, c := range done {
-				covered += plan.Leaves(c) - len(byChild[c].Ints)
-			}
-			return covered >= plan.SubtreeQuorum(pol.Quorum, self)
+	spec := gatherSpec{Label: "fd-sketch", Peers: children, Quorum: func(done []int) bool {
+		if pol.Quorum <= 0 {
+			return false
 		}
-	}
+		covered := 0
+		for _, c := range done {
+			covered += plan.Leaves(c) - len(byChild[c].Ints)
+		}
+		return covered >= plan.SubtreeQuorum(pol.Quorum, self)
+	}}
 	if _, err := gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
 		if msg.Kind != "fd-sketch" {
 			return fmt.Errorf("distributed: expected %q message, got %q from %d", "fd-sketch", msg.Kind, msg.From)
@@ -70,8 +71,10 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config, par
 		byChild[msg.From] = msg
 		return nil
 	}); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	var parts []*matrix.Dense
+	var missing []int
 	for _, c := range children {
 		lo, hi := plan.LeafSpan(c)
 		msg := byChild[c]
@@ -84,67 +87,41 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config, par
 		}
 		for _, leaf := range msg.Ints {
 			if int(leaf) < lo || int(leaf) >= hi {
-				return nil, nil, nil, fmt.Errorf("distributed: child %d reported missing leaf %d outside its span [%d,%d)", c, leaf, lo, hi)
+				return nil, nil, fmt.Errorf("distributed: child %d reported missing leaf %d outside its span [%d,%d)", c, leaf, lo, hi)
 			}
 			missing = append(missing, int(leaf))
 		}
 		m, err := recvMatrix(msg)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		parts = append(parts, m)
 	}
 	sort.Ints(missing)
-	release = func() {
-		for _, msg := range byChild {
-			msg.Release()
-		}
-	}
-	return parts, missing, release, nil
-}
-
-// coordFDGather is the root side of the FD merge for any plan (the star is
-// the depth-1 case): gather the children's summaries and reduce them with
-// the canonical merge. Because the canonical reduction is grouping-invariant
-// over consecutive power-of-two groups (see fd.MergeCanonical), the result
-// is bit-identical across star and every power-of-two fan-out.
-func coordFDGather(ctx context.Context, node Node, plan *Plan, d, ell int, cfg Config) (*matrix.Dense, []int, error) {
-	// Fail before gathering: a non-mergeable shrink strategy is a
-	// configuration error, not a data error, and must surface even when no
-	// summary ever arrives.
-	if err := fd.CheckMergeable(cfg.Shrink); err != nil {
-		return nil, nil, err
-	}
-	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, cfg, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.observer().TreeMerge(plan.Height(node.ID()), len(parts), len(missing))
+	cfg.observer().TreeMerge(plan.Height(self), len(parts), len(missing))
 	sk, err := fd.MergeCanonical(d, ell, parts, fd.Options{Obs: cfg.Obs, Strategy: cfg.Shrink})
 	if err != nil {
 		return nil, nil, err
 	}
+	// Recycle the gathered messages' pooled buffers (a no-op off the socket
+	// transport). A canonical merge of two or more parts never aliases them
+	// (mergePair always allocates), but a single part passes through
+	// fd.MergeCanonical by reference, so it is left to the GC instead.
 	if len(parts) >= 2 {
-		release() // sk is freshly merged; the gathered payloads are done
+		for _, msg := range byChild {
+			msg.Release()
+		}
 	}
 	return sk, missing, nil
 }
 
 // sendSummary transmits a subtree summary upward: the sketch under the
-// config's quantization policy, plus the missing-leaf list riding as Ints —
-// nil when empty, so a fault-free run pays not a single extra word.
+// config's wire policy, plus the missing-leaf list riding as Ints — nil
+// when empty, so a fault-free run pays not a single extra word.
 func (c Config) sendSummary(ctx context.Context, node Node, to int, kind string, m *matrix.Dense, missing []int) error {
-	msg := &comm.Message{Kind: kind, Matrix: m}
-	if c.Quantize {
-		q, err := comm.NewQuantizer(c.QuantStep).Quantize(m)
-		if err != nil {
-			return fmt.Errorf("distributed: quantize %s: %w", kind, err)
-		}
-		msg.Matrix, msg.Quantized = nil, q
-	} else if c.WirePrecision == comm.Float32 {
-		// Same pre-rounding as sendMatrix: mem and socket transports must
-		// observe identical payloads and word counts.
-		msg.Matrix, msg.MatrixPrecision = comm.RoundFloat32(m), comm.Float32
+	msg := &comm.Message{Kind: kind}
+	if err := c.putMatrix(msg, m); err != nil {
+		return err
 	}
 	if len(missing) > 0 {
 		msg.Ints = make([]int64, len(missing))
@@ -160,21 +137,11 @@ func (c Config) sendSummary(ctx context.Context, node Node, to int, kind string,
 // most ℓ·d words, like any leaf's) to the parent, missing leaves attached.
 func (p FDMerge) Aggregate(ctx context.Context, node Node, plan *Plan) error {
 	cfg := p.Env.Config
-	ell := fd.SketchSize(p.Eps, p.K)
-	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, cfg, true)
+	sk, missing, err := coordFDGather(ctx, node, plan, p.Env.Dim, fd.SketchSize(p.Eps, p.K), cfg)
 	if err != nil {
 		return err
-	}
-	level := plan.Height(node.ID())
-	cfg.observer().TreeMerge(level, len(parts), len(missing))
-	sk, err := fd.MergeCanonical(p.Env.Dim, ell, parts, fd.Options{Obs: cfg.Obs, Strategy: cfg.Shrink})
-	if err != nil {
-		return err
-	}
-	if len(parts) >= 2 {
-		release() // sk is freshly merged; the gathered payloads are done
 	}
 	parent := plan.Parent(node.ID())
-	cfg.observer().TreeForward(level, node.ID(), parent)
+	cfg.observer().TreeForward(plan.Height(node.ID()), node.ID(), parent)
 	return cfg.sendSummary(ctx, node, parent, "fd-sketch", sk, missing)
 }
