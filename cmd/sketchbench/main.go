@@ -1,15 +1,19 @@
 // Command sketchbench regenerates the paper's evaluation artifacts: Table 1
-// (covariance-sketch communication costs), Table 2 (distributed PCA), and
-// the figure-style sweeps F1–F10 described in DESIGN.md.
+// (covariance-sketch communication costs), Table 2 (distributed PCA), the
+// figure-style sweeps F1–F10, and the ablations and frontiers described in
+// DESIGN.md. The experiments come from one registry (bench.Experiments).
 //
 // Usage:
 //
 //	sketchbench -experiment all
 //	sketchbench -experiment table1 -s 32 -d 128 -k 5 -eps 0.05
 //	sketchbench -experiment f2 -seed 7
+//	sketchbench -experiment table1,table2,i1 -json BENCH.json
 //
-// Output is aligned text; "theory" columns are the paper's formulas with
-// unit constants, "words" are measured at the transport layer.
+// Output is aligned text (or CSV); "theory" columns are the paper's
+// formulas with unit constants, "words" are measured at the transport
+// layer. -json also writes the run as one bench.Baseline document: per
+// experiment, its wall-clock, rows or series, and communication counters.
 package main
 
 import (
@@ -24,7 +28,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: all, table1, table2, f1..f10, a1..a5, p1, m1, i1, t1, s1, k1, c1")
+		experiment = flag.String("experiment", "all", "which experiments to run: all, or a comma-separated list of "+strings.Join(bench.Names(), ", "))
 		seed       = flag.Int64("seed", 1, "random seed")
 		n          = flag.Int("n", 1<<13, "global row count")
 		d          = flag.Int("d", 64, "column dimension")
@@ -33,18 +37,13 @@ func main() {
 		eps        = flag.Float64("eps", 0.1, "accuracy epsilon")
 		format     = flag.String("format", "text", "output format: text or csv")
 		par        = flag.Int("parallel", 0, "compute worker pool width (0 = GOMAXPROCS)")
-		baseline   = flag.String("baseline", "", "write a JSON timing/words baseline (table1+table2) to this file and exit")
-		baselineT  = flag.String("baseline-topology", "", "write a JSON fan-out sweep baseline (t1) to this file and exit")
-		baselineF  = flag.String("baseline-frontier", "", "write a JSON shrink-strategy frontier baseline (s1) to this file and exit")
-		baselineK  = flag.String("baseline-kernels", "", "write a JSON kernel/wire-precision baseline (timed table1 + k1) to this file and exit")
-		baselineP  = flag.String("baseline-product", "", "write a JSON product-frontier baseline (c1) to this file and exit")
+		jsonOut    = flag.String("json", "", "also write the run as one JSON baseline (wall-clock, rows or series, comm counters per experiment) to this file")
 		shrink     = flag.String("shrink", "", "FD shrink strategy for the FD-based experiments: fd, fast-fd (default), alpha-fd; isvd and compensative are single-node only and rejected by fd-merge")
 		alpha      = flag.Float64("alpha", 0.5, "alpha parameter for -shrink alpha-fd, in (0,1]")
 		trace      = flag.String("trace", "", "write a JSONL protocol trace of every run to this file")
 		metrics    = flag.String("metrics", "", "write a metrics registry snapshot (JSON) on exit, - for stdout")
 	)
 	flag.Parse()
-	csvOut = *format == "csv"
 	if *format != "text" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "sketchbench: unknown format %q\n", *format)
 		os.Exit(1)
@@ -55,19 +54,7 @@ func main() {
 		os.Exit(1)
 	}
 	cfg := bench.Config{Seed: *seed, N: *n, D: *d, S: *s, K: *k, Eps: *eps, Parallel: *par, Shrink: *shrink, Alpha: *alpha}
-	if *baseline != "" {
-		err = writeBaseline(*baseline, cfg)
-	} else if *baselineT != "" {
-		err = writeTopologyBaseline(*baselineT, cfg)
-	} else if *baselineF != "" {
-		err = writeFrontierBaseline(*baselineF, cfg)
-	} else if *baselineK != "" {
-		err = writeKernelBaseline(*baselineK, cfg)
-	} else if *baselineP != "" {
-		err = writeProductBaseline(*baselineP, cfg)
-	} else {
-		err = run(strings.ToLower(*experiment), cfg)
-	}
+	err = run(strings.ToLower(*experiment), cfg, *format == "csv", *jsonOut)
 	if ferr := finish(); err == nil {
 		err = ferr
 	}
@@ -75,6 +62,61 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sketchbench:", err)
 		os.Exit(1)
 	}
+}
+
+// run drives the selected experiments through bench.Run, printing each as
+// it finishes, and writes the baseline to jsonPath when one is given. A
+// failed headline check (C1's) is printed like any other outcome but keeps
+// the baseline from being written.
+func run(list string, cfg bench.Config, csvOut bool, jsonPath string) error {
+	exps, err := bench.Select(list)
+	if err != nil {
+		return err
+	}
+	var checkErr error
+	b, err := bench.Run(cfg, exps, func(e bench.Experiment, res bench.Result) {
+		if csvOut {
+			fmt.Printf("# %s\n", e.Title)
+		} else {
+			fmt.Printf("\n=== %s ===\n", e.Title)
+		}
+		for _, rows := range res.Tables {
+			if csvOut {
+				fmt.Print(bench.RowsCSV(rows))
+			} else {
+				fmt.Print(bench.FormatRows(rows))
+			}
+		}
+		if res.Tables == nil {
+			if csvOut {
+				fmt.Print(bench.SeriesCSV(res.XLabel, res.Series))
+			} else {
+				fmt.Print(bench.FormatSeries(res.XLabel, res.Series))
+			}
+		}
+		if e.Check != nil {
+			msg, err := e.Check(res.Rows())
+			if err != nil {
+				msg, checkErr = err.Error(), fmt.Errorf("%s: %w", e.Name, err)
+			}
+			fmt.Printf("headline: %s\n", msg)
+		}
+	})
+	if err != nil || jsonPath == "" {
+		return err
+	}
+	if checkErr != nil {
+		return fmt.Errorf("baseline not written: %w", checkErr)
+	}
+	out, err := b.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("baseline written to %s (%d experiments, pool width %d)\n", jsonPath, len(b.Experiments), b.PoolWorkers)
+	return nil
 }
 
 // setupObservability installs a process-wide observer when -trace or
@@ -118,418 +160,4 @@ func setupObservability(trace, metrics string) (finish func() error, err error) 
 		}
 		return first
 	}, nil
-}
-
-func writeBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectBaseline(cfg)
-	if err != nil {
-		return err
-	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("baseline written to %s (%d experiments, pool width %d)\n", path, len(b.Experiments), b.PoolWorkers)
-	return nil
-}
-
-func writeTopologyBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectTopologyBaseline(cfg, sweepFanouts(cfg.S))
-	if err != nil {
-		return err
-	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("topology baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
-}
-
-func writeFrontierBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectFrontierBaseline(cfg)
-	if err != nil {
-		return err
-	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("frontier baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
-}
-
-func writeKernelBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectKernelBaseline(cfg)
-	if err != nil {
-		return err
-	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("kernel baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
-}
-
-func writeProductBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectProductBaseline(cfg)
-	if err != nil {
-		return err
-	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("product baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
-}
-
-// sweepFanouts picks the fan-outs for the t1 sweep: powers of two up to s/2
-// (bit-identical to the star by the canonical-merge grouping invariance),
-// capped so the table stays readable at large s.
-func sweepFanouts(s int) []int {
-	var fs []int
-	for f := 2; f <= s/2 && len(fs) < 6; f *= 2 {
-		fs = append(fs, f)
-	}
-	if len(fs) == 0 {
-		fs = []int{2}
-	}
-	return fs
-}
-
-func run(experiment string, cfg bench.Config) error {
-	runners := []struct {
-		name string
-		fn   func(bench.Config) error
-	}{
-		{"table1", table1},
-		{"table2", table2},
-		{"f1", f1},
-		{"f2", f2},
-		{"f3", f3},
-		{"f4", f4},
-		{"f5", f5},
-		{"f6", f6},
-		{"f7", f7},
-		{"f8", f8},
-		{"f9", f9},
-		{"f10", f10},
-		{"a1", a1},
-		{"a2", a2},
-		{"a3", a3},
-		{"a4", a4},
-		{"a5", a5},
-		{"p1", p1},
-		{"m1", m1},
-		{"i1", i1},
-		{"t1", t1},
-		{"s1", s1},
-		{"k1", k1},
-		{"c1", c1},
-	}
-	if experiment == "all" {
-		for _, r := range runners {
-			if err := r.fn(cfg); err != nil {
-				return fmt.Errorf("%s: %w", r.name, err)
-			}
-		}
-		return nil
-	}
-	for _, r := range runners {
-		if r.name == experiment {
-			return r.fn(cfg)
-		}
-	}
-	return fmt.Errorf("unknown experiment %q", experiment)
-}
-
-// csvOut switches row/series rendering to CSV.
-var csvOut bool
-
-func header(title string) {
-	if csvOut {
-		fmt.Printf("# %s\n", title)
-		return
-	}
-	fmt.Printf("\n=== %s ===\n", title)
-}
-
-func printRows(rows []bench.Row) {
-	if csvOut {
-		fmt.Print(bench.RowsCSV(rows))
-		return
-	}
-	fmt.Print(bench.FormatRows(rows))
-}
-
-func printSeries(xlabel string, series []bench.Series) {
-	if csvOut {
-		fmt.Print(bench.SeriesCSV(xlabel, series))
-		return
-	}
-	fmt.Print(bench.FormatSeries(xlabel, series))
-}
-
-func table1(cfg bench.Config) error {
-	header("Table 1: covariance sketch communication (words) and guarantees")
-	rows, err := bench.Table1(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func table2(cfg bench.Config) error {
-	header("Table 2: distributed PCA communication (words) and quality ratio")
-	rows, err := bench.Table2(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func f1(cfg bench.Config) error {
-	header("F1: headline s=d, error ‖A‖F²/d — words vs d (new is d^2.5·√log d)")
-	series, err := bench.HeadlineD25([]int{16, 24, 32, 48, 64}, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("d", series)
-	return nil
-}
-
-func f2(cfg bench.Config) error {
-	header("F2: words vs s (deterministic linear vs randomized √s)")
-	series, err := bench.CommVsServers([]int{2, 4, 8, 16, 32, 64, 128}, cfg.D, cfg.Eps, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("s", series)
-	return nil
-}
-
-func f3(cfg bench.Config) error {
-	header("F3: words vs 1/ε (sampling's quadratic blowup)")
-	series, err := bench.CommVsEpsilon([]float64{0.4, 0.3, 0.2, 0.1, 0.05}, cfg.S, cfg.D, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("1/eps", series)
-	return nil
-}
-
-func f4(cfg bench.Config) error {
-	header("F4: error vs communication frontier (relative coverr)")
-	series, err := bench.ErrorFrontier([]float64{0.4, 0.3, 0.2, 0.1, 0.05}, cfg.S, cfg.D, 0.8, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("words", series)
-	return nil
-}
-
-func f5(cfg bench.Config) error {
-	header("F5: Thm5 linear vs Thm6 quadratic sampling function (words & rel. error)")
-	series, err := bench.SamplingFunctionAblation([]int{16, 32, 64, 128, 256}, cfg.S, cfg.Eps, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("d", series)
-	return nil
-}
-
-func f6(cfg bench.Config) error {
-	header("F6: §3.3 bit complexity — quantization and the rank≤2k exact protocol")
-	rows, err := bench.BitComplexity(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func f7(cfg bench.Config) error {
-	header("F7: PCA quality ratio vs k (Lemma 1 / Lemma 8)")
-	series, err := bench.PCAQuality([]int{2, 3, 5, 8, 12}, cfg)
-	if err != nil {
-		return err
-	}
-	printSeries("k", series)
-	return nil
-}
-
-func f8(cfg bench.Config) error {
-	header("F8: lower-bound machinery — Lemma 3 probability, Lemma 2 gap vs d")
-	series, err := bench.LowerBoundSeparation([]int{8, 12, 16, 24, 32}, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("d", series)
-	return nil
-}
-
-func f9(cfg bench.Config) error {
-	header("F9: per-server working space (words)")
-	rows, err := bench.StreamingSpace(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func f10(cfg bench.Config) error {
-	header("F10: mergeability — merged vs direct FD error across random partitions")
-	series, err := bench.Mergeability(cfg, 8)
-	if err != nil {
-		return err
-	}
-	printSeries("trial", series)
-	return nil
-}
-
-func a1(cfg bench.Config) error {
-	header("A1: Bernoulli vs i.i.d. sampling inside SVS (max rel. error)")
-	rows, err := bench.BernoulliVsIID(cfg, 5)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a2(cfg bench.Config) error {
-	header("A2: final FD re-compression of Q (size vs extra error)")
-	rows, err := bench.FinalCompressAblation(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a3(cfg bench.Config) error {
-	header("A3: FD buffer factor (runtime at identical guarantee)")
-	rows, err := bench.BufferFactorAblation(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a4(cfg bench.Config) error {
-	header("A4: FD shrink factorization — Jacobi vs Gram vs randomized")
-	rows, err := bench.SVDMethodAblation(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a5(cfg bench.Config) error {
-	header("A5: sparse-input FD ([15] regime) — update path and shrink factorization")
-	for _, density := range []float64{0.05, 0.2} {
-		rows, err := bench.SparseInputAblation(cfg, density)
-		if err != nil {
-			return err
-		}
-		printRows(rows)
-	}
-	return nil
-}
-
-func p1(cfg bench.Config) error {
-	header("P1: distributed power iteration — quality and words vs rounds")
-	series, err := bench.PowerIterationCurve(cfg, []int{1, 2, 4, 8, 16})
-	if err != nil {
-		return err
-	}
-	printSeries("rounds", series)
-	return nil
-}
-
-func i1(cfg bench.Config) error {
-	header("I1: ingestion throughput — in-memory vs file-backed vs sparse sources")
-	rows, err := bench.IngestionThroughput(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func s1(cfg bench.Config) error {
-	header("S1: shrink-strategy frontier — covariance error vs ingest throughput")
-	rows, err := bench.ShrinkFrontier(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func k1(cfg bench.Config) error {
-	header("K1: blocked kernels vs reference loops, and float64 vs float32 wire")
-	rows, err := bench.KernelBench(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func c1(cfg bench.Config) error {
-	header("C1: product estimand — coord-product vs SVS [A|B], words vs relative error")
-	rows, err := bench.ProductFrontier(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	if density, err := bench.CheckProductHeadline(rows); err != nil {
-		fmt.Printf("headline: %v\n", err)
-	} else {
-		fmt.Printf("headline: coordinated sampling beats svs [A|B] at density=%g\n", density)
-	}
-	return nil
-}
-
-func t1(cfg bench.Config) error {
-	header("T1: tree aggregation — words, root fan-in, and bit-identity vs fan-out")
-	rows, err := bench.FanoutSweep(cfg, sweepFanouts(cfg.S))
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func m1(cfg bench.Config) error {
-	header("M1: continuous tracking ([17] model) — policies incl. the §1.5 SVS question")
-	rows, err := bench.MonitoringComparison(cfg, 256)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/lowerbound"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/pca"
 	"repro/internal/workload"
 )
@@ -37,8 +36,9 @@ type Config struct {
 	S    int     // servers
 	K    int     // rank parameter
 	Eps  float64 // accuracy
-	// Parallel sets the compute worker pool width for the run's kernels
-	// (0 leaves the process-wide pool untouched, i.e. GOMAXPROCS).
+	// Parallel sets the compute worker pool width for the run's kernels;
+	// the driver (Run) applies it once before the first experiment (0
+	// leaves the process-wide pool untouched, i.e. GOMAXPROCS).
 	// Parallelism never changes measured communication words.
 	Parallel int
 	// Shrink names the FD shrink strategy the FD-based experiments run
@@ -64,14 +64,6 @@ func (c Config) alphaOrDefault() float64 {
 		return c.Alpha
 	}
 	return 0.5
-}
-
-// applyParallel installs the config's pool width, if any; every experiment
-// entry point calls it so the knob threads uniformly through the harness.
-func (c Config) applyParallel() {
-	if c.Parallel > 0 {
-		parallel.SetWorkers(c.Parallel)
-	}
 }
 
 // DefaultConfig returns the workload used by the headline tables.
@@ -142,7 +134,6 @@ func covRow(exp, algo string, cfg Config, a, sketch *matrix.Dense, words, theory
 // guarantee checks for both error regimes, all four algorithm rows plus the
 // deterministic lower bound.
 func Table1(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
 	st, err := cfg.shrinkStrategy()
 	if err != nil {
 		return nil, err
@@ -221,7 +212,6 @@ func Table1(cfg Config) ([]Row, error) {
 // quality ratio for the [5]-substitute baseline, the Theorem 9 algorithms,
 // and the FD-merge PCA baseline.
 func Table2(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a := workload.ClusteredGaussians(rng, cfg.N, cfg.D, cfg.K, 40, 1.0)
 	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)

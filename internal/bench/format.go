@@ -4,18 +4,13 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
-// Baseline captures one harness run for committing as a regression baseline
-// (e.g. BENCH_PR2.json): the workload config, the compute pool width, and
-// per-experiment wall-clock plus measured rows. Words are exact and must not
+// Baseline captures one driver run (see Run) for committing as a regression
+// baseline (e.g. BENCH_PR2.json): the workload config, the compute pool
+// width, and per-experiment wall-clock plus measured rows or series. Words are exact and must not
 // move across parallelism changes; wall-clock is machine-dependent context.
 type Baseline struct {
 	Config      Config               `json:"config"`
@@ -24,11 +19,13 @@ type Baseline struct {
 	Experiments []BaselineExperiment `json:"experiments"`
 }
 
-// BaselineExperiment is one experiment's timing and rows inside a Baseline.
+// BaselineExperiment is one experiment's timing and output inside a
+// Baseline: rows for the table experiments, series for the figure sweeps.
 type BaselineExperiment struct {
 	Name      string       `json:"name"`
 	ElapsedMS float64      `json:"elapsed_ms"`
 	Rows      []Row        `json:"rows"`
+	Series    []Series     `json:"series,omitempty"`
 	Comm      BaselineComm `json:"comm"`
 }
 
@@ -43,50 +40,6 @@ type BaselineComm struct {
 	FDShrinks      int64 `json:"fd_shrinks"`
 	SVSSampledRows int64 `json:"svs_sampled_rows"`
 	PoolForCalls   int64 `json:"pool_for_calls"`
-}
-
-// CollectBaseline runs the headline experiments (Table 1, Table 2, and the
-// I1 ingestion-throughput comparison) under cfg, timing each, and returns
-// the result for serialization.
-func CollectBaseline(cfg Config) (*Baseline, error) {
-	cfg.applyParallel()
-	b := &Baseline{Config: cfg, GoMaxProcs: runtime.GOMAXPROCS(0), PoolWorkers: parallel.Workers()}
-	// Scope a fresh observer to each experiment so the baseline records its
-	// exact communication and kernel activity; the caller's default observer
-	// is restored afterwards.
-	prev := obs.Default()
-	defer obs.SetDefault(prev)
-	for _, exp := range []struct {
-		name string
-		fn   func(Config) ([]Row, error)
-	}{
-		{"table1", Table1},
-		{"table2", Table2},
-		{"ingest", IngestionThroughput},
-	} {
-		reg := obs.NewRegistry()
-		obs.SetDefault(obs.NewObserver(reg, nil))
-		start := time.Now()
-		rows, err := exp.fn(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("baseline %s: %w", exp.name, err)
-		}
-		snap := reg.Snapshot()
-		b.Experiments = append(b.Experiments, BaselineExperiment{
-			Name:      exp.name,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-			Rows:      rows,
-			Comm: BaselineComm{
-				Bits:           snap.Counters["comm.bits_total"],
-				Messages:       snap.Counters["comm.messages_total"],
-				Rounds:         snap.Counters["comm.rounds_total"],
-				FDShrinks:      snap.Counters["fd.shrinks"],
-				SVSSampledRows: snap.Counters["svs.sampled_rows"],
-				PoolForCalls:   snap.Counters["pool.for_calls"],
-			},
-		})
-	}
-	return b, nil
 }
 
 // JSON renders the baseline with stable indentation for committing.

@@ -20,7 +20,6 @@ import (
 // the resulting sketch is bit-identical to the in-memory run (it must be:
 // every variant drives the same single source-based code path).
 func IngestionThroughput(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
 	ctx := context.Background()
 	a, parts := makeLowRank(cfg)
 	run := func(sources []workload.RowSource) (*distributed.Result, time.Duration, error) {

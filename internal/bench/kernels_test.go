@@ -54,8 +54,14 @@ func TestKernelBenchSmokeAndWireInvariants(t *testing.T) {
 	}
 }
 
-func TestCollectKernelBaseline(t *testing.T) {
-	b, err := CollectKernelBaseline(smallConfig())
+// TestRunKernelBaseline drives the registry's table1 and k1 entries the way
+// `sketchbench -experiment table1,k1 -json` does.
+func TestRunKernelBaseline(t *testing.T) {
+	exps, err := Select("table1,k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(smallConfig(), exps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

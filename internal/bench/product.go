@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/distributed"
 	"repro/internal/matrix"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -39,7 +35,6 @@ import (
 // cfg.D is d_A; d_B = max(2, d_A/2) keeps the product rectangular so block
 // extraction bugs cannot hide. cfg.Eps parameterizes the SVS sweep.
 func ProductFrontier(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
 	ctx := context.Background()
 	n, dA, s := cfg.N, cfg.D, cfg.S
 	dB := dA / 2
@@ -209,11 +204,13 @@ func (c *labelSource) Err() error {
 // four points spanning the decades up to the regime where the sample covers
 // every nonzero row (at low density most rows are all-zero, so the largest
 // point goes exact while its words stay nnz-proportional), capped below n.
+// Points that cap to the same size run once.
 func productSampleSweep(n int) []int {
-	sw := []int{64, 256, 1024, 4096}
-	for i, v := range sw {
-		if v >= n {
-			sw[i] = n - 1
+	var sw []int
+	for _, v := range []int{64, 256, 1024, 4096} {
+		v = minInt(v, n-1)
+		if len(sw) == 0 || sw[len(sw)-1] != v {
+			sw = append(sw, v)
 		}
 	}
 	return sw
@@ -313,37 +310,4 @@ func CheckProductHeadline(rows []Row) (float64, error) {
 		report += fmt.Sprintf(" density=%g: svs err=%.3g words=%.0f, no cheaper coord point at that error;", density, f.svsErr, f.svsWords)
 	}
 	return 0, fmt.Errorf("bench: coordinated sampling beat SVS at no density:%s", report)
-}
-
-// CollectProductBaseline wraps ProductFrontier in a Baseline for committing
-// (BENCH_PR10.json), in the same shape as the other baseline collectors,
-// and refuses to write a baseline whose headline claim does not hold.
-func CollectProductBaseline(cfg Config) (*Baseline, error) {
-	cfg.applyParallel()
-	b := &Baseline{Config: cfg, GoMaxProcs: runtime.GOMAXPROCS(0), PoolWorkers: parallel.Workers()}
-	prev := obs.Default()
-	defer obs.SetDefault(prev)
-	reg := obs.NewRegistry()
-	obs.SetDefault(obs.NewObserver(reg, nil))
-	start := time.Now()
-	rows, err := ProductFrontier(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("baseline product: %w", err)
-	}
-	if _, err := CheckProductHeadline(rows); err != nil {
-		return nil, err
-	}
-	snap := reg.Snapshot()
-	b.Experiments = append(b.Experiments, BaselineExperiment{
-		Name:      "product",
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Rows:      rows,
-		Comm: BaselineComm{
-			Bits:           snap.Counters["comm.bits_total"],
-			Messages:       snap.Counters["comm.messages_total"],
-			Rounds:         snap.Counters["comm.rounds_total"],
-			SVSSampledRows: snap.Counters["svs.sampled_rows"],
-		},
-	})
-	return b, nil
 }

@@ -33,3 +33,22 @@ func TestProductFrontier(t *testing.T) {
 		t.Logf("headline holds at density=%g (sparsest is the expected regime)", density)
 	}
 }
+
+// TestProductFrontierNoDuplicatePoints: at n ≤ 4096 several sweep points cap
+// to n−1; each size must still run (and print) once per density.
+func TestProductFrontierNoDuplicatePoints(t *testing.T) {
+	cfg := smallConfig()
+	cfg.N, cfg.D = 1024, 32
+	rows, err := ProductFrontier(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, r := range rows {
+		key := r.Algorithm + "|" + r.Note
+		if seen[key] {
+			t.Errorf("duplicate frontier point %s (%s)", r.Algorithm, r.Note)
+		}
+		seen[key] = true
+	}
+}

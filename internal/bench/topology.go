@@ -3,15 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/distributed"
 	"repro/internal/fd"
 	"repro/internal/matrix"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // FanoutSweep measures FD merge under increasing tree fan-outs against the
@@ -23,7 +20,6 @@ import (
 // sketches must match the star bit for bit; other fan-outs keep the (ε,k)
 // guarantee but may differ in low-order bits (noted per row).
 func FanoutSweep(cfg Config, fanouts []int) ([]Row, error) {
-	cfg.applyParallel()
 	st, err := cfg.shrinkStrategy()
 	if err != nil {
 		return nil, err
@@ -87,34 +83,4 @@ func FanoutSweep(cfg Config, fanouts []int) ([]Row, error) {
 
 func matrixEqual(a, b *matrix.Dense) bool {
 	return a != nil && b != nil && a.Equal(b)
-}
-
-// CollectTopologyBaseline wraps FanoutSweep in a Baseline for committing
-// (BENCH_PR6.json): exact per-run communication from a scoped observer plus
-// wall-clock, in the same shape as CollectBaseline.
-func CollectTopologyBaseline(cfg Config, fanouts []int) (*Baseline, error) {
-	cfg.applyParallel()
-	b := &Baseline{Config: cfg, GoMaxProcs: runtime.GOMAXPROCS(0), PoolWorkers: parallel.Workers()}
-	prev := obs.Default()
-	defer obs.SetDefault(prev)
-	reg := obs.NewRegistry()
-	obs.SetDefault(obs.NewObserver(reg, nil))
-	start := time.Now()
-	rows, err := FanoutSweep(cfg, fanouts)
-	if err != nil {
-		return nil, fmt.Errorf("baseline fanout: %w", err)
-	}
-	snap := reg.Snapshot()
-	b.Experiments = append(b.Experiments, BaselineExperiment{
-		Name:      "fanout",
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Rows:      rows,
-		Comm: BaselineComm{
-			Bits:      snap.Counters["comm.bits_total"],
-			Messages:  snap.Counters["comm.messages_total"],
-			Rounds:    snap.Counters["comm.rounds_total"],
-			FDShrinks: snap.Counters["fd.shrinks"],
-		},
-	})
-	return b, nil
 }

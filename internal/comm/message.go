@@ -521,6 +521,18 @@ func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
+// checkDims rejects an r×c payload header whose entry count, or either
+// dimension on its own, exceeds what one frame of entries bitsPerEntry bits
+// wide can carry: a 2³²−1 × 0 header holds no entries but would still hand
+// consumers a matrix claiming 2³²−1 rows.
+func checkDims(what string, r, c uint32, bitsPerEntry uint64) error {
+	limit := 8 * maxFrameBytes / bitsPerEntry
+	if uint64(r) > limit || uint64(c) > limit || uint64(r)*uint64(c) > limit {
+		return fmt.Errorf("comm: %s %d×%d too large", what, r, c)
+	}
+	return nil
+}
+
 func decodeFrame(frame []byte) (*Message, error) {
 	c := cursor{b: frame}
 	magic, err := c.u32()
@@ -595,8 +607,8 @@ func decodeFrame(frame []byte) (*Message, error) {
 			if field == fieldMatrix32 {
 				entryBytes = 4
 			}
-			if uint64(r32)*uint64(c32) > maxFrameBytes/uint64(entryBytes) {
-				return m, fmt.Errorf("comm: matrix %d×%d too large", r32, c32)
+			if err := checkDims("matrix", r32, c32, 8*uint64(entryBytes)); err != nil {
+				return m, err
 			}
 			n := int(r32) * int(c32)
 			if err := c.need(entryBytes * n); err != nil {
@@ -641,6 +653,15 @@ func decodeFrame(frame []byte) (*Message, error) {
 			}
 			if bpe == 0 || uint64(n)*uint64(bpe) > 8*maxFrameBytes {
 				return m, fmt.Errorf("comm: quantized payload %d×%d bits malformed", n, bpe)
+			}
+			// Dequantize rebuilds a float64 Rows×Cols matrix from Values, so
+			// the header is bounded as a float64 matrix frame is, and a value
+			// count that disagrees with it would index past one or the other.
+			if err := checkDims("quantized matrix", r32, c32, 64); err != nil {
+				return m, err
+			}
+			if uint64(n) != uint64(r32)*uint64(c32) {
+				return m, fmt.Errorf("comm: quantized matrix %d×%d carries %d values", r32, c32, n)
 			}
 			packed, err := c.bytes((int(n)*int(bpe) + 7) / 8)
 			if err != nil {

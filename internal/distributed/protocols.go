@@ -411,11 +411,15 @@ func (p FullTransfer) Coordinator(ctx context.Context, node Node) (*Result, erro
 	// chunks can arrive before a slow server's header), so one loop accepts
 	// both kinds and reconciles the declared chunk counts at the end.
 	declared := make([]int, s)
+	heard := make([]bool, s)
 	headers := 0
 	wantChunks, gotChunks := 0, 0
 	chunks := make([][]*matrix.Dense, s)
 	for headers < s || gotChunks < wantChunks {
 		msg, err := recvPolicy(ctx, node, cfg.Stragglers.Timeout)
+		if peer, ok := closedPeer(err); ok && peer >= 0 && peer < s && heard[peer] && len(chunks[peer]) >= declared[peer] {
+			continue // that server has sent everything it declared
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -428,6 +432,7 @@ func (p FullTransfer) Coordinator(ctx context.Context, node Node) (*Result, erro
 				return nil, fmt.Errorf("distributed: malformed raw-dims from server %d", msg.From)
 			}
 			declared[msg.From] = int(msg.Ints[0])
+			heard[msg.From] = true
 			headers++
 			wantChunks += declared[msg.From]
 		case "raw":

@@ -143,6 +143,25 @@ type TCPCoordinator struct {
 	dbg   *obs.DebugServer
 }
 
+// peerClosedError reports that a child closed its connection cleanly.
+type peerClosedError struct{ peer int }
+
+func (e *peerClosedError) Error() string {
+	return fmt.Sprintf("distributed: server %d closed its connection", e.peer)
+}
+
+// closedPeer reports whether err is a hang-up and, if so, by which peer.
+func closedPeer(err error) (int, bool) {
+	if err == nil {
+		return 0, false
+	}
+	var pc *peerClosedError
+	if errors.As(err, &pc) {
+		return pc.peer, true
+	}
+	return 0, false
+}
+
 type recvResult struct {
 	msg *comm.Message
 	err error
@@ -322,11 +341,6 @@ func (c *TCPCoordinator) readLoop(id int, conn net.Conn) {
 	for {
 		msg, err := comm.Decode(conn)
 		if err != nil {
-			// A clean EOF means the server finished its protocol and closed;
-			// that is the normal end of a run, not an error to surface.
-			if errors.Is(err, io.EOF) {
-				return
-			}
 			// A replaced connection (ServeAccepts reconnect) dies silently:
 			// the child is alive and talking on its new connection.
 			c.mu.Lock()
@@ -335,11 +349,20 @@ func (c *TCPCoordinator) readLoop(id int, conn net.Conn) {
 			if replaced {
 				return
 			}
+			// A clean EOF is a hang-up: the normal end for a server that
+			// has sent everything, a failure for one that still owes
+			// messages. Only the receive loop knows which, so it gets a
+			// peerClosedError either way (see closedPeer).
+			if errors.Is(err, io.EOF) {
+				err = &peerClosedError{peer: id}
+			} else {
+				err = fmt.Errorf("distributed: read from server %d: %w", id, err)
+			}
 			select {
 			case <-c.done:
 			default:
 				select {
-				case c.inbox <- recvResult{err: fmt.Errorf("distributed: read from server %d: %w", id, err)}:
+				case c.inbox <- recvResult{err: err}:
 				case <-c.done:
 				}
 			}

@@ -400,3 +400,56 @@ func TestTCPBadHello(t *testing.T) {
 		t.Fatal("expected hello rejection")
 	}
 }
+
+// TestTCPStrictGatherFailsWhenServerHangsUp: a server that dials in and
+// hangs up without sending its share fails a strict receive loop (FD-merge's
+// gather, FullTransfer's chunk loop) at once, with an error naming it,
+// instead of leaving the coordinator blocked until its context deadline.
+// The servers that do deliver hang up afterwards too, which must not
+// disturb the run.
+func TestTCPStrictGatherFailsWhenServerHangsUp(t *testing.T) {
+	const s = 3
+	a := workload.LowRankPlusNoise(rand.New(rand.NewSource(1)), 120, 8, 2, 20, 0.7, 0.4)
+	parts := workload.Split(a, s, workload.Contiguous, nil)
+	env := Env{Servers: s, Dim: 8}
+	for _, proto := range []Protocol{FDMerge{Eps: 0.25, K: 2, Env: env}, FullTransfer{Env: env}} {
+		t.Run(proto.Name(), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer cancel()
+			for id := 0; id < s; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					srv, err := DialTCPServerContext(ctx, coord.Addr(), id, nil, TCPOptions{})
+					if err != nil {
+						return
+					}
+					defer srv.Close()
+					if id != 1 {
+						proto.Server(ctx, srv.Node(), CovarianceInput(workload.NewDenseSource(parts[id])))
+					}
+				}(id)
+			}
+			if err := coord.Accept(ctx); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err = proto.Coordinator(ctx, coord.Node())
+			elapsed := time.Since(start)
+			if err == nil || !strings.Contains(err.Error(), "server 1") {
+				t.Fatalf("coordinator error %v, want one naming server 1", err)
+			}
+			if elapsed > time.Second {
+				t.Fatalf("coordinator took %v to notice the hang-up", elapsed)
+			}
+		})
+	}
+}

@@ -373,6 +373,15 @@ func gatherFrom(ctx context.Context, node Node, cfg Config, spec gatherSpec, acc
 	}
 	for pending := each * len(spec.Peers); pending > 0; {
 		msg, err := recvPolicy(ctx, node, pol.Timeout)
+		if peer, ok := closedPeer(err); ok {
+			// A peer that has delivered everything may hang up, and a
+			// quorum-tolerant gather leaves a silent peer to the straggler
+			// timeout; a strict gather fails now rather than at its deadline.
+			if n, member := got[peer]; !member || n == each || (spec.Quorum != nil && pol.Quorum > 0) {
+				continue
+			}
+			return nil, err
+		}
 		if err != nil {
 			if errors.Is(err, ErrStraggler) {
 				cfg.observer().Straggler(spec.Label)
